@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     store.backend = std::string(backend);
 
     auto net = make_ici_preloaded(chain, kNodes, kClusters, /*replication=*/1, store);
-    const core::BootstrapReport join = core::Bootstrapper::join(*net, {50, 50});
+    const fleet::JoinReport join = core::Bootstrapper::join(*net, {50, 50});
     const core::RetrievalStats stats = core::RetrievalDriver::run(*net, kFetches, 99);
     const StoreCounters sc = sum_store_counters(net->stores());
     if (backend == "disk") disk_totals = sc;

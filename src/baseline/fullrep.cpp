@@ -6,19 +6,15 @@
 
 #include "cluster/node_info.h"
 #include "common/rng.h"
-#include "metrics/sim_metrics.h"
 #include "obs/trace.h"
-#include "sim/lbts.h"
 #include "sim/shard.h"
-#include "storage/store_metrics.h"
-#include "sync/driver.h"
-#include "sync/serve.h"
 
 namespace ici::baseline {
 
 FullRepNode::FullRepNode(FullRepNetwork& ctx, sim::NodeId id)
-    : ctx_(ctx), id_(id), store_(ctx.header_index()) {
-  store_.bind_tally(&ctx.fleet_tally(), id);
+    : fleet::SyncPeer(ctx.runtime(), id),
+      ctx_(ctx), id_(id), store_(ctx.runtime().header_index()) {
+  store_.bind_tally(&ctx.runtime().fleet_tally(), id);
 }
 
 void FullRepNode::seed_genesis(std::shared_ptr<const Block> genesis) {
@@ -31,7 +27,7 @@ void FullRepNode::seed_genesis(std::shared_ptr<const Block> genesis) {
 
 void FullRepNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto* s = dynamic_cast<const sync::SyncMessage*>(msg.get())) {
-    handle_sync_message(from, *s);
+    handle_sync_message(from, *s, store_, store_.block_count());
     return;
   }
   if (const auto* inv = dynamic_cast<const InvMsg*>(msg.get())) {
@@ -60,37 +56,6 @@ void FullRepNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   }
   if (const auto* gb = dynamic_cast<const GossipBlockMsg*>(msg.get())) {
     accept_block(gb->block, from);
-    return;
-  }
-  if (const auto* sync = dynamic_cast<const SyncRequestMsg*>(msg.get())) {
-    auto resp = std::make_shared<SyncResponseMsg>();
-    std::uint64_t io_delay = 0;
-    for (std::uint64_t h = sync->from_height;; ++h) {
-      const auto header = store_.header_at(h);
-      if (!header) break;
-      if (BlockRef ref = store_.block_by_hash(header->hash())) {
-        // io_delay_us is completion-relative (queued behind same-instant
-        // reads already), so the batch finishes at the max, not the sum.
-        io_delay = std::max(io_delay, ref.io_delay_us);
-        resp->blocks.push_back(ref.share());
-      }
-    }
-    if (io_delay > 0) {
-      ctx_.simulator().after(io_delay, [this, from, resp = std::move(resp)] {
-        ctx_.network().send(id_, from, resp);
-      });
-      return;
-    }
-    ctx_.network().send(id_, from, std::move(resp));
-    return;
-  }
-  if (const auto* resp = dynamic_cast<const SyncResponseMsg*>(msg.get())) {
-    for (const auto& block : resp->blocks) store_.put(HashedBlock(block));
-    if (sync_done_) {
-      auto done = std::move(sync_done_);
-      sync_done_ = nullptr;
-      done(resp->blocks.size());
-    }
     return;
   }
 }
@@ -122,7 +87,7 @@ void FullRepNode::accept_block(std::shared_ptr<const Block> block, sim::NodeId f
   }
 
   store_.put(HashedBlock(block, hash));
-  ctx_.note_stored(id_, hash);
+  ctx_.note_stored(hash);
   announce(hash, from);
 }
 
@@ -135,84 +100,13 @@ void FullRepNode::announce(const Hash256& hash, sim::NodeId except) {
   }
 }
 
-void FullRepNode::start_sync(sim::NodeId peer, std::function<void(std::size_t)> on_done) {
-  sync_done_ = std::move(on_done);
-  auto req = std::make_shared<SyncRequestMsg>();
-  req->from_height = 0;
-  ctx_.network().send(id_, peer, std::move(req));
-}
-
-// -- streaming bulk-sync (docs/BOOTSTRAP.md) --------------------------------
-
-void FullRepNode::start_streaming_sync(
-    const sync::SyncConfig& cfg, sync::SyncCheckpoint* checkpoint,
-    std::vector<sim::NodeId> candidates,
-    std::function<void(const sync::SyncReport&)> on_done) {
-  const std::uint64_t session_id =
-      (static_cast<std::uint64_t>(id_) << 20) + (++sync_epoch_);
-  sync_session_ = sync::BulkPullSession::start(*this, cfg, checkpoint,
-                                               std::move(candidates), session_id,
-                                               std::move(on_done));
-}
-
-void FullRepNode::handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg) {
-  switch (msg.sync_kind()) {
-    case sync::SyncMsgKind::kFrontierRequest: {
-      const auto& req = static_cast<const sync::FrontierRequestMsg&>(msg);
-      send_sync_response(
-          from,
-          sync::serve_frontier(store_, req, store_.block_count(), /*serves_shards=*/false));
-      break;
-    }
-    case sync::SyncMsgKind::kRangeRequest: {
-      const auto& req = static_cast<const sync::RangeRequestMsg&>(msg);
-      sync::ServedRange served = sync::serve_range(store_, req);
-      send_sync_response(from, std::move(served.msg), served.io_delay_us);
-      break;
-    }
-    case sync::SyncMsgKind::kFrontierResponse:
-    case sync::SyncMsgKind::kRangeResponse:
-      if (sync_session_) sync_session_->on_sync_message(from, msg);
-      break;
-  }
-}
-
-void FullRepNode::send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                                     std::uint64_t io_delay_us) {
-  std::uint64_t delay = io_delay_us;
-  sync::ServeThrottle* throttle = ctx_.serve_throttle();
-  if (throttle != nullptr) {
-    const std::uint64_t t =
-        throttle->delay_for(id_, to, msg->wire_size(), ctx_.simulator().now());
-    if (t > 0) ctx_.metrics().counter("sync.serve_throttled").inc();
-    delay += t;
-  }
-  if (delay > 0) {
-    ctx_.simulator().after(delay, [this, to, msg = std::move(msg)] {
-      ctx_.network().send(id_, to, msg);
-    });
-    return;
-  }
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-sim::Simulator& FullRepNode::sync_simulator() { return ctx_.simulator(); }
-
-void FullRepNode::sync_send(sim::NodeId to, sim::MessagePtr msg) {
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-std::size_t FullRepNode::sync_message_overhead() const {
-  return ctx_.network().config().per_message_overhead;
-}
-
 void FullRepNode::sync_commit_header(const BlockHeader& header, const Hash256& hash) {
   store_.put(StoredBlock::header_only(header, hash));
 }
 
 void FullRepNode::sync_commit_body(const std::shared_ptr<const Block>& block) {
   // Bulk sync installs without re-validating (the ranges were Merkle- and
-  // linkage-checked); the legacy one-shot path behaved the same.
+  // linkage-checked).
   store_.put(HashedBlock(block));
 }
 
@@ -224,37 +118,15 @@ std::vector<sim::NodeId> FullRepNode::sync_body_candidates(const Hash256&,
 
 // ---------------------------------------------------------------------------
 
-FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : cfg_(cfg) {
+FullRepNetwork::FullRepNetwork(FullRepConfig cfg)
+    : cfg_(cfg), rt_(cfg_.net, cfg_.shards, cfg_.sync_serve_rate_bps, cfg_.store) {
   if (cfg_.node_count < 2) throw std::invalid_argument("FullRepNetwork: need >= 2 nodes");
-  net_ = std::make_unique<sim::Network>(sim_, cfg_.net);
-
-  // Sharded event engine: no clusters here, so lanes are contiguous id
-  // ranges — gossip fans out everywhere, so expect a high cross-shard
-  // message fraction relative to ICI (exp19's contrast).
-  shards_ = cfg_.shards == 0 ? sim::default_shards() : cfg_.shards;
-  if (shards_ > 1) {
-    sim_.configure_shards(shards_, sim::lookahead_from(cfg_.net));
-    sim_.set_barrier_hook([this] { flush_deferred_stores(); });
-    deferred_stores_.resize(shards_);
-  }
-  if (cfg_.sync_serve_rate_bps > 0.0)
-    serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg_.sync_serve_rate_bps);
-  store_runtime_ = std::make_unique<StoreRuntime>(cfg_.store);
 
   const auto infos =
       cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
-  net_->reserve_nodes(infos.size());
-  fleet_tally_.ensure_size(infos.size());
+  rt_.reserve(infos.size());
   coords_.reserve(infos.size());
-  for (const auto& info : infos) {
-    FullRepNode& node = nodes_.emplace_back(*this, info.id);
-    const sim::NodeId assigned = net_->add_node(&node, info.coord);
-    if (assigned != info.id) throw std::logic_error("fullrep id mismatch");
-    coords_.push_back(info.coord);
-    if (shards_ > 1)
-      sim_.set_node_lane(info.id, sim::contiguous_lane(info.id, cfg_.node_count, shards_));
-    install_backend(node, info.id);
-  }
+  for (const auto& info : infos) add_node(info.id, info.coord);
 
   // Random connected-ish peer graph: a ring (guarantees connectivity) plus
   // random extra edges up to peer_degree.
@@ -276,18 +148,14 @@ FullRepNetwork::FullRepNetwork(FullRepConfig cfg) : cfg_(cfg) {
   }
 }
 
-FullRepNetwork::~FullRepNetwork() = default;
-
-void FullRepNetwork::install_backend(FullRepNode& node, sim::NodeId id) {
-  std::unique_ptr<StorageBackend> backend = store_runtime_->make_backend(id);
-  if (!backend) return;
-  IoEnv env;
-  env.now = [this] { return sim_.now(); };
-  env.schedule_at = [this, id](std::uint64_t at, std::function<void()> fn) {
-    sim_.schedule_for(id, at, std::move(fn));
-  };
-  backend->set_io_env(std::move(env));
-  node.store().set_backend(std::move(backend));
+void FullRepNetwork::add_node(sim::NodeId id, sim::Coord coord) {
+  // No clusters here, so lanes are contiguous id ranges — gossip fans out
+  // everywhere, so expect a high cross-shard message fraction relative to
+  // ICI (exp19's contrast).
+  FullRepNode& node = nodes_.emplace_back(*this, id);
+  rt_.add_node(id, node, node.store(), coord,
+               sim::contiguous_lane(id, cfg_.node_count, rt_.shards()));
+  coords_.push_back(coord);
 }
 
 const std::vector<sim::NodeId>& FullRepNetwork::peers(sim::NodeId id) const {
@@ -304,14 +172,11 @@ void FullRepNetwork::init_with_genesis(const Block& genesis) {
 sim::SimTime FullRepNetwork::disseminate_and_settle(const Block& block) {
   if (!genesis_done_) throw std::logic_error("call init_with_genesis first");
   const Hash256 hash = block.hash();
-  spreads_[hash] = Spread{sim_.now(), 0, 0};
+  spreads_[hash] = Spread{rt_.simulator().now(), 0, 0};
 
   const auto proposer = static_cast<sim::NodeId>(proposer_cursor_++ % nodes_.size());
   nodes_[proposer].inject_block(std::make_shared<const Block>(block));
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
+  rt_.settle();
 
   const Spread& spread = spreads_.at(hash);
   if (spread.finished == 0) return 0;  // did not reach everyone
@@ -320,38 +185,17 @@ sim::SimTime FullRepNetwork::disseminate_and_settle(const Block& block) {
   return latency;
 }
 
-void FullRepNetwork::note_stored(sim::NodeId id, const Hash256& hash) {
-  (void)id;
-  if (sim_.in_parallel_phase()) {
-    const sim::Simulator::EventRef ev = sim_.current_event();
-    deferred_stores_[sim_.current_lane()].push_back({ev.at, ev.key, hash});
-    return;
-  }
-  note_stored_now(hash, sim_.now());
-}
-
-void FullRepNetwork::note_stored_now(const Hash256& hash, sim::SimTime at) {
-  const auto it = spreads_.find(hash);
-  if (it == spreads_.end()) return;
-  it->second.holders += 1;
-  std::size_t online = 0;
-  for (sim::NodeId i = 0; i < nodes_.size(); ++i) {
-    if (net_->online(static_cast<sim::NodeId>(i))) ++online;
-  }
-  if (it->second.holders >= online) it->second.finished = at;
-}
-
-void FullRepNetwork::flush_deferred_stores() {
-  std::vector<DeferredStore> all;
-  for (auto& lane : deferred_stores_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const DeferredStore& a, const DeferredStore& b) {
-    return a.at != b.at ? a.at < b.at : a.key < b.key;
+void FullRepNetwork::note_stored(const Hash256& hash) {
+  rt_.defer([this, hash](sim::SimTime at) {
+    const auto it = spreads_.find(hash);
+    if (it == spreads_.end()) return;
+    it->second.holders += 1;
+    std::size_t online = 0;
+    for (sim::NodeId i = 0; i < nodes_.size(); ++i) {
+      if (rt_.network().online(i)) ++online;
+    }
+    if (it->second.holders >= online) it->second.finished = at;
   });
-  for (const DeferredStore& s : all) note_stored_now(s.hash, s.at);
 }
 
 void FullRepNetwork::preload_chain(const Chain& chain) {
@@ -364,17 +208,12 @@ void FullRepNetwork::preload_chain(const Chain& chain) {
   }
 }
 
-sim::NodeId FullRepNetwork::add_sync_joiner(sim::Coord coord) {
-  const auto joiner_id = static_cast<sim::NodeId>(nodes_.size());
-  fleet_tally_.ensure_size(static_cast<std::size_t>(joiner_id) + 1);
-  FullRepNode& node = nodes_.emplace_back(*this, joiner_id);
-  const sim::NodeId id = net_->add_node(&node, coord);
-  coords_.push_back(coord);
-  if (shards_ > 1) sim_.set_node_lane(id, sim::contiguous_lane(id, cfg_.node_count, shards_));
-  install_backend(node, id);
+fleet::JoinReport FullRepNetwork::bootstrap(sim::Coord coord, const sync::SyncConfig& cfg) {
+  const auto id = static_cast<sim::NodeId>(nodes_.size());
+  add_node(id, coord);
 
   // Connect the joiner to its peer_degree nearest nodes — the pull peers of
-  // the multi-peer bulk sync (the old path hung off a single neighbour).
+  // the multi-peer bulk sync.
   std::vector<sim::NodeId> by_distance;
   by_distance.reserve(nodes_.size() - 1);
   for (sim::NodeId i = 0; i < id; ++i) by_distance.push_back(i);
@@ -387,61 +226,7 @@ sim::NodeId FullRepNetwork::add_sync_joiner(sim::Coord coord) {
   if (by_distance.size() > cfg_.peer_degree) by_distance.resize(cfg_.peer_degree);
   peers_.push_back(by_distance);
   for (sim::NodeId peer : by_distance) peers_[peer].push_back(id);
-  return id;
-}
-
-FullRepNetwork::BootstrapReport FullRepNetwork::bootstrap_added(
-    sim::NodeId joiner, const sync::SyncConfig& cfg) {
-  BootstrapReport report;
-  report.joiner = joiner;
-  report.sync = sync::drive_join(*this, joiner, cfg, peers_.at(joiner));
-  report.complete = report.sync.complete;
-  report.bodies_fetched = report.sync.bodies_committed;
-  report.elapsed_us = report.sync.time_to_synced_us;
-  report.bytes_downloaded = net_->traffic(joiner).bytes_received;
-  return report;
-}
-
-FullRepNetwork::BootstrapReport FullRepNetwork::bootstrap(sim::Coord coord,
-                                                          const sync::SyncConfig& cfg) {
-  return bootstrap_added(add_sync_joiner(coord), cfg);
-}
-
-FullRepNetwork::BootstrapReport FullRepNetwork::bootstrap(sim::Coord coord) {
-  return bootstrap(coord, sync::SyncConfig{});
-}
-
-void FullRepNetwork::start_faults(const sim::FaultPlan& plan) {
-  if (faults_) throw std::logic_error("start_faults called twice");
-  faults_ = std::make_unique<sim::FaultInjector>(*net_, plan);
-  std::vector<sim::NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<sim::NodeId>(i));
-  faults_->start(all, [this](sim::NodeId id, bool online) {
-    metrics_.counter(online ? "churn.up" : "churn.down").inc();
-    if (status_observer_) status_observer_(id, online);
-  });
-}
-
-void FullRepNetwork::run_for(sim::SimTime us) {
-  sim_.run_until(sim_.now() + us);
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-void FullRepNetwork::settle() {
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-std::vector<const BlockStore*> FullRepNetwork::stores() const {
-  std::vector<const BlockStore*> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) out.push_back(&nodes_[i].store());
-  return out;
+  return fleet::drive_join(rt_, nodes_[id], cfg, peers_[id]);
 }
 
 }  // namespace ici::baseline

@@ -14,16 +14,7 @@
 #include "chain/validator.h"
 #include "common/arena.h"
 #include "common/stats.h"
-#include "metrics/registry.h"
-#include "sim/churn.h"
-#include "sim/faults.h"
-#include "sim/network.h"
-#include "storage/block_store.h"
-#include "storage/fleet_tally.h"
-#include "storage/header_index.h"
-#include "storage/store_runtime.h"
-#include "sync/serve.h"
-#include "sync/session.h"
+#include "fleet/sync_peer.h"
 
 namespace ici::baseline {
 
@@ -68,28 +59,11 @@ struct GossipBlockMsg final : FullRepMessage {
   [[nodiscard]] const char* type_name() const override { return "GossipBlock"; }
 };
 
-/// Bootstrap: "send me every block from height X".
-struct SyncRequestMsg final : FullRepMessage {
-  std::uint64_t from_height = 0;
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* type_name() const override { return "SyncRequest"; }
-};
-
-struct SyncResponseMsg final : FullRepMessage {
-  std::vector<std::shared_ptr<const Block>> blocks;
-  [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t total = 4;
-    for (const auto& b : blocks) total += b->serialized_size();
-    return total;
-  }
-  [[nodiscard]] const char* type_name() const override { return "SyncResponse"; }
-};
-
 // -- network ------------------------------------------------------------------
 
 class FullRepNetwork;
 
-class FullRepNode final : public sim::INode, private sync::BulkPullSession::Env {
+class FullRepNode final : public sim::INode, public fleet::SyncPeer {
  public:
   FullRepNode(FullRepNetwork& ctx, sim::NodeId id);
 
@@ -104,31 +78,11 @@ class FullRepNode final : public sim::INode, private sync::BulkPullSession::Env 
 
   void seed_genesis(std::shared_ptr<const Block> genesis);
 
-  /// Bootstrap entry: full-chain download from `peer` (legacy one-shot).
-  void start_sync(sim::NodeId peer, std::function<void(std::size_t)> on_done);
-
-  /// Streaming bulk-sync join (docs/BOOTSTRAP.md): frontier exchange with
-  /// `candidates`, then windowed multi-peer bulk pull of headers+bodies.
-  /// `checkpoint` is held by the driver so it survives a mid-sync crash.
-  void start_streaming_sync(const sync::SyncConfig& cfg,
-                            sync::SyncCheckpoint* checkpoint,
-                            std::vector<sim::NodeId> candidates,
-                            std::function<void(const sync::SyncReport&)> on_done);
-  /// Crash semantics: drops the in-memory session (timers become inert).
-  void abandon_sync() { sync_session_.reset(); }
-
  private:
   void accept_block(std::shared_ptr<const Block> block, sim::NodeId from);
   void announce(const Hash256& hash, sim::NodeId except);
 
-  // -- streaming sync (sync::BulkPullSession::Env + serving) -------------
-  void handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg);
-  void send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                          std::uint64_t io_delay_us = 0);
-  [[nodiscard]] sim::NodeId sync_self() const override { return id_; }
-  [[nodiscard]] sim::Simulator& sync_simulator() override;
-  void sync_send(sim::NodeId to, sim::MessagePtr msg) override;
-  [[nodiscard]] std::size_t sync_message_overhead() const override;
+  // -- streaming sync: the strategy-specific BulkPullSession::Env hooks ----
   [[nodiscard]] bool sync_linked_headers() const override { return true; }
   [[nodiscard]] sync::PullMode sync_range_mode() const override {
     return sync::PullMode::kHeadersAndBodies;
@@ -153,15 +107,11 @@ class FullRepNode final : public sim::INode, private sync::BulkPullSession::Env 
   UtxoSet utxo_;
   Validator validator_;
   std::unordered_set<Hash256, Hash256Hasher> requested_;
-  std::function<void(std::size_t)> sync_done_;
-  std::shared_ptr<sync::BulkPullSession> sync_session_;
-  std::uint64_t sync_epoch_ = 0;
 };
 
 class FullRepNetwork {
  public:
   explicit FullRepNetwork(FullRepConfig cfg);
-  ~FullRepNetwork();
 
   FullRepNetwork(const FullRepNetwork&) = delete;
   FullRepNetwork& operator=(const FullRepNetwork&) = delete;
@@ -175,88 +125,43 @@ class FullRepNetwork {
   /// Statically installs a chain on every node (storage experiments).
   void preload_chain(const Chain& chain);
 
-  /// Adds a fresh node, streams the full chain from its nearest peers via
-  /// the bulk-sync protocol, and reports bytes downloaded + elapsed time.
-  struct BootstrapReport {
-    std::uint64_t bytes_downloaded = 0;
-    sim::SimTime elapsed_us = 0;
-    std::size_t bodies_fetched = 0;
-    bool complete = false;
-    sim::NodeId joiner = 0;
-    /// Protocol-level detail (per-peer attribution, retries, resume count).
-    sync::SyncReport sync;
-  };
-  [[nodiscard]] BootstrapReport bootstrap(sim::Coord coord);
-  [[nodiscard]] BootstrapReport bootstrap(sim::Coord coord, const sync::SyncConfig& cfg);
+  /// Adds a fresh node linked to its peer_degree nearest nodes and streams
+  /// the full chain from them via the bulk-sync protocol.
+  [[nodiscard]] fleet::JoinReport bootstrap(sim::Coord coord, const sync::SyncConfig& cfg = {});
 
-  /// Split entry points for fault experiments: add the node first (so a
-  /// FaultPlan can script crash windows on its id), start faults, then run.
-  [[nodiscard]] sim::NodeId add_sync_joiner(sim::Coord coord);
-  [[nodiscard]] BootstrapReport bootstrap_added(sim::NodeId joiner,
-                                                const sync::SyncConfig& cfg);
-
-  /// Observer for online/offline flips from fault injection (see
-  /// IciNetwork::set_status_observer). Pass nullptr to uninstall.
-  using StatusObserver = std::function<void(sim::NodeId, bool online)>;
-  void set_status_observer(StatusObserver observer) {
-    status_observer_ = std::move(observer);
-  }
+  /// Runs the simulator until quiescent / for `us` of simulated time, then
+  /// refreshes the mirrored counters.
+  void settle() { rt_.settle(); }
+  void run_for(sim::SimTime us) { rt_.run_for(us); }
 
   /// Installs a fault injector (crashes/drops/partitions) over the gossip
   /// network. Full replication has no repair protocol — offline nodes just
   /// stop serving. Call at most once.
-  void start_faults(const sim::FaultPlan& plan);
-  [[nodiscard]] const sim::FaultInjector* faults() const { return faults_.get(); }
+  void start_faults(const sim::FaultPlan& plan) { rt_.start_faults(plan); }
+  [[nodiscard]] const sim::FaultInjector* faults() const { return rt_.faults(); }
 
-  /// Runs the simulator for `us` of simulated time and refreshes counters.
-  void run_for(sim::SimTime us);
-
-  /// Runs the simulator until quiescent and refreshes counters (retires any
-  /// in-flight disk appends after a preload, among other things).
-  void settle();
-
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return *net_; }
-  [[nodiscard]] metrics::Registry& metrics() { return metrics_; }
+  [[nodiscard]] fleet::FleetRuntime& runtime() { return rt_; }
+  [[nodiscard]] sim::Simulator& simulator() { return rt_.simulator(); }
+  [[nodiscard]] sim::Network& network() { return rt_.network(); }
+  [[nodiscard]] metrics::Registry& metrics() { return rt_.metrics(); }
   [[nodiscard]] const FullRepConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] FullRepNode& node(sim::NodeId id) { return nodes_.at(id); }
   [[nodiscard]] const std::vector<sim::NodeId>& peers(sim::NodeId id) const;
-  [[nodiscard]] std::vector<const BlockStore*> stores() const;
+  [[nodiscard]] const std::vector<const BlockStore*>& stores() const { return rt_.stores(); }
 
-  /// Fleet-shared header table / contiguous per-node tallies (fleet_tally.h).
-  [[nodiscard]] const std::shared_ptr<HeaderIndex>& header_index() const {
-    return header_index_;
-  }
-  [[nodiscard]] FleetTally& fleet_tally() { return fleet_tally_; }
-
-  /// Called by nodes when they store a disseminated block. During a
-  /// parallel shard window the record is buffered per lane and applied at
-  /// the next barrier in (at, key) order (shard-count-invariant).
-  void note_stored(sim::NodeId id, const Hash256& hash);
-
-  /// Serve-side sync throttle, or nullptr when --sync-serve-rate is 0.
-  [[nodiscard]] sync::ServeThrottle* serve_throttle() { return serve_throttle_.get(); }
+  /// Called by nodes when they store a disseminated block (through the
+  /// runtime's deferred log, so shard-count-invariant).
+  void note_stored(const Hash256& hash);
 
  private:
-  void note_stored_now(const Hash256& hash, sim::SimTime at);
-  void flush_deferred_stores();
-  void install_backend(FullRepNode& node, sim::NodeId id);
+  void add_node(sim::NodeId id, sim::Coord coord);
 
   FullRepConfig cfg_;
-  std::size_t shards_ = 1;
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
-  // Shared header snapshot + SoA tallies outlive the nodes bound to them;
-  // the store runtime owns the on-disk root the backends write under.
-  std::shared_ptr<HeaderIndex> header_index_ = std::make_shared<HeaderIndex>();
-  FleetTally fleet_tally_;
-  std::unique_ptr<StoreRuntime> store_runtime_;
+  fleet::FleetRuntime rt_;  // before nodes_: see fleet/runtime.h
   ObjectArena<FullRepNode> nodes_;
-  std::unique_ptr<sim::FaultInjector> faults_;  // after net_: hook uninstall order
   std::vector<std::vector<sim::NodeId>> peers_;
   std::vector<sim::Coord> coords_;
-  metrics::Registry metrics_;
 
   struct Spread {
     sim::SimTime started = 0;
@@ -264,16 +169,8 @@ class FullRepNetwork {
     sim::SimTime finished = 0;
   };
   std::unordered_map<Hash256, Spread, Hash256Hasher> spreads_;
-  struct DeferredStore {
-    sim::SimTime at = 0;
-    std::uint64_t key = 0;
-    Hash256 hash;
-  };
-  std::vector<std::vector<DeferredStore>> deferred_stores_;
-  std::unique_ptr<sync::ServeThrottle> serve_throttle_;
   std::uint64_t proposer_cursor_ = 0;
   bool genesis_done_ = false;
-  StatusObserver status_observer_;
 };
 
 }  // namespace ici::baseline

@@ -5,58 +5,23 @@
 #include <stdexcept>
 
 #include "cluster/node_info.h"
-#include "common/rng.h"
-#include "metrics/sim_metrics.h"
 #include "obs/trace.h"
-#include "sim/lbts.h"
-#include "sim/shard.h"
-#include "storage/store_metrics.h"
-#include "sync/driver.h"
-#include "sync/serve.h"
 
 namespace ici::baseline {
 
 RapidChainNode::RapidChainNode(RapidChainNetwork& ctx, sim::NodeId id, std::size_t committee)
-    : ctx_(ctx), id_(id), committee_(committee), store_(ctx.header_index()) {
-  store_.bind_tally(&ctx.fleet_tally(), id);
+    : fleet::SyncPeer(ctx.runtime(), id),
+      ctx_(ctx), id_(id), committee_(committee), store_(ctx.runtime().header_index()) {
+  store_.bind_tally(&ctx.runtime().fleet_tally(), id);
 }
 
 void RapidChainNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto* s = dynamic_cast<const sync::SyncMessage*>(msg.get())) {
-    handle_sync_message(from, *s);
+    handle_sync_message(from, *s, store_, store_.block_count());
     return;
   }
   if (const auto* chunk = dynamic_cast<const ChunkMsg*>(msg.get())) {
     receive_chunk(*chunk, from);
-    return;
-  }
-  if (dynamic_cast<const ShardRequestMsg*>(msg.get()) != nullptr) {
-    auto resp = std::make_shared<ShardResponseMsg>();
-    std::uint64_t io_delay = 0;
-    for (const Hash256& h : store_.stored_hashes()) {
-      if (BlockRef ref = store_.block_by_hash(h)) {
-        // io_delay_us is completion-relative (queued behind same-instant
-        // reads already), so the batch finishes at the max, not the sum.
-        io_delay = std::max(io_delay, ref.io_delay_us);
-        resp->blocks.push_back(ref.share());
-      }
-    }
-    if (io_delay > 0) {
-      ctx_.simulator().after(io_delay, [this, from, resp = std::move(resp)] {
-        ctx_.network().send(id_, from, resp);
-      });
-      return;
-    }
-    ctx_.network().send(id_, from, std::move(resp));
-    return;
-  }
-  if (const auto* resp = dynamic_cast<const ShardResponseMsg*>(msg.get())) {
-    for (const auto& block : resp->blocks) store_.put(HashedBlock(block));
-    if (sync_done_) {
-      auto done = std::move(sync_done_);
-      sync_done_ = nullptr;
-      done(resp->blocks.size());
-    }
     return;
   }
 }
@@ -65,7 +30,7 @@ void RapidChainNode::lead_dissemination(std::shared_ptr<const Block> block) {
   const Hash256 hash = block->hash();
   const std::size_t total = block->serialized_size();
   store_.put(HashedBlock(block, hash));
-  ctx_.note_stored(id_, hash);
+  ctx_.note_stored(hash);
 
   const auto& members = ctx_.committee_members(committee_);
   const auto m = static_cast<std::uint32_t>(members.size());
@@ -119,79 +84,9 @@ void RapidChainNode::receive_chunk(const ChunkMsg& msg, sim::NodeId from) {
     re.complete = true;
     if (auto block = ctx_.pending_block(msg.block_hash)) {
       store_.put(HashedBlock(std::move(block), msg.block_hash));
-      ctx_.note_stored(id_, msg.block_hash);
+      ctx_.note_stored(msg.block_hash);
     }
   }
-}
-
-void RapidChainNode::start_shard_sync(sim::NodeId peer,
-                                      std::function<void(std::size_t)> on_done) {
-  sync_done_ = std::move(on_done);
-  ctx_.network().send(id_, peer, std::make_shared<ShardRequestMsg>());
-}
-
-// -- streaming bulk-sync (docs/BOOTSTRAP.md) --------------------------------
-
-void RapidChainNode::start_streaming_sync(
-    const sync::SyncConfig& cfg, sync::SyncCheckpoint* checkpoint,
-    std::vector<sim::NodeId> candidates,
-    std::function<void(const sync::SyncReport&)> on_done) {
-  const std::uint64_t session_id =
-      (static_cast<std::uint64_t>(id_) << 20) + (++sync_epoch_);
-  sync_session_ = sync::BulkPullSession::start(*this, cfg, checkpoint,
-                                               std::move(candidates), session_id,
-                                               std::move(on_done));
-}
-
-void RapidChainNode::handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg) {
-  switch (msg.sync_kind()) {
-    case sync::SyncMsgKind::kFrontierRequest: {
-      const auto& req = static_cast<const sync::FrontierRequestMsg&>(msg);
-      send_sync_response(
-          from,
-          sync::serve_frontier(store_, req, store_.block_count(), /*serves_shards=*/false));
-      break;
-    }
-    case sync::SyncMsgKind::kRangeRequest: {
-      const auto& req = static_cast<const sync::RangeRequestMsg&>(msg);
-      sync::ServedRange served = sync::serve_range(store_, req);
-      send_sync_response(from, std::move(served.msg), served.io_delay_us);
-      break;
-    }
-    case sync::SyncMsgKind::kFrontierResponse:
-    case sync::SyncMsgKind::kRangeResponse:
-      if (sync_session_) sync_session_->on_sync_message(from, msg);
-      break;
-  }
-}
-
-void RapidChainNode::send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                                        std::uint64_t io_delay_us) {
-  std::uint64_t delay = io_delay_us;
-  sync::ServeThrottle* throttle = ctx_.serve_throttle();
-  if (throttle != nullptr) {
-    const std::uint64_t t =
-        throttle->delay_for(id_, to, msg->wire_size(), ctx_.simulator().now());
-    if (t > 0) ctx_.metrics().counter("sync.serve_throttled").inc();
-    delay += t;
-  }
-  if (delay > 0) {
-    ctx_.simulator().after(delay, [this, to, msg = std::move(msg)] {
-      ctx_.network().send(id_, to, msg);
-    });
-    return;
-  }
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-sim::Simulator& RapidChainNode::sync_simulator() { return ctx_.simulator(); }
-
-void RapidChainNode::sync_send(sim::NodeId to, sim::MessagePtr msg) {
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-std::size_t RapidChainNode::sync_message_overhead() const {
-  return ctx_.network().config().per_message_overhead;
 }
 
 void RapidChainNode::sync_commit_header(const BlockHeader& header, const Hash256& hash) {
@@ -219,74 +114,54 @@ std::vector<sim::NodeId> RapidChainNode::sync_body_candidates(const Hash256& has
 
 // ---------------------------------------------------------------------------
 
-RapidChainNetwork::RapidChainNetwork(RapidChainConfig cfg) : cfg_(cfg) {
+RapidChainNetwork::RapidChainNetwork(RapidChainConfig cfg)
+    : cfg_(cfg), rt_(cfg_.net, cfg_.shards, cfg_.sync_serve_rate_bps, cfg_.store) {
   if (cfg_.committee_count == 0 || cfg_.committee_count > cfg_.node_count)
     throw std::invalid_argument("RapidChainNetwork: bad committee_count");
-  net_ = std::make_unique<sim::Network>(sim_, cfg_.net);
-
-  // Sharded event engine: whole committees share a lane, so IDA gossip —
-  // which never leaves the committee — stays lane-local.
-  shards_ = cfg_.shards == 0 ? sim::default_shards() : cfg_.shards;
-  if (shards_ > 1) {
-    sim_.configure_shards(shards_, sim::lookahead_from(cfg_.net));
-    sim_.set_barrier_hook([this] { flush_deferred_stores(); });
-    deferred_stores_.resize(shards_);
-  }
-  if (cfg_.sync_serve_rate_bps > 0.0)
-    serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg_.sync_serve_rate_bps);
-  store_runtime_ = std::make_unique<StoreRuntime>(cfg_.store);
 
   const auto infos =
       cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
+  // Committees are settled over the ids before any node exists, so every
+  // node's committee() agrees with committee_members().
+  std::vector<std::size_t> committee_of(infos.size());
   committees_.assign(cfg_.committee_count, {});
-  net_->reserve_nodes(infos.size());
-  fleet_tally_.ensure_size(infos.size());
-  coords_.reserve(infos.size());
   for (const auto& info : infos) {
-    // Committee by hash of node id — RapidChain assigns members uniformly
-    // at random via its randomness beacon.
-    ByteWriter w(8);
-    w.u64(info.id);
-    const std::size_t c = static_cast<std::size_t>(
-        Hash256::tagged("rc/committee", ByteSpan(w.bytes().data(), w.bytes().size())).low64() %
-        cfg_.committee_count);
-    RapidChainNode& node = nodes_.emplace_back(*this, info.id, c);
-    const sim::NodeId assigned = net_->add_node(&node, info.coord);
-    if (assigned != info.id) throw std::logic_error("rapidchain id mismatch");
-    committees_[c].push_back(info.id);
-    coords_.push_back(info.coord);
-    install_backend(node, info.id);
+    committee_of[info.id] = committee_of_node(info.id);
+    committees_[committee_of[info.id]].push_back(info.id);
   }
   // Hash assignment can leave a committee empty at tiny scales; steal from
   // the largest so the model stays well-formed.
-  for (auto& committee : committees_) {
-    if (!committee.empty()) continue;
+  for (std::size_t c = 0; c < committees_.size(); ++c) {
+    if (!committees_[c].empty()) continue;
     auto& biggest = *std::max_element(
         committees_.begin(), committees_.end(),
         [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    committee.push_back(biggest.back());
+    committee_of[biggest.back()] = c;
+    committees_[c].push_back(biggest.back());
     biggest.pop_back();
   }
-  if (shards_ > 1) {
-    for (std::size_t id = 0; id < nodes_.size(); ++id) {
-      sim_.set_node_lane(static_cast<sim::NodeId>(id),
-                         static_cast<std::uint32_t>(nodes_[id].committee() % shards_));
-    }
-  }
+  rt_.reserve(infos.size());
+  coords_.reserve(infos.size());
+  for (const auto& info : infos) add_node(info.id, info.coord, committee_of[info.id]);
 }
 
-RapidChainNetwork::~RapidChainNetwork() = default;
+std::size_t RapidChainNetwork::committee_of_node(sim::NodeId id) const {
+  // Committee by hash of node id — RapidChain assigns members uniformly at
+  // random via its randomness beacon.
+  ByteWriter w(8);
+  w.u64(id);
+  return static_cast<std::size_t>(
+      Hash256::tagged("rc/committee", ByteSpan(w.bytes().data(), w.bytes().size())).low64() %
+      cfg_.committee_count);
+}
 
-void RapidChainNetwork::install_backend(RapidChainNode& node, sim::NodeId id) {
-  std::unique_ptr<StorageBackend> backend = store_runtime_->make_backend(id);
-  if (!backend) return;
-  IoEnv env;
-  env.now = [this] { return sim_.now(); };
-  env.schedule_at = [this, id](std::uint64_t at, std::function<void()> fn) {
-    sim_.schedule_for(id, at, std::move(fn));
-  };
-  backend->set_io_env(std::move(env));
-  node.store().set_backend(std::move(backend));
+void RapidChainNetwork::add_node(sim::NodeId id, sim::Coord coord, std::size_t committee) {
+  // Whole committees share a lane, so IDA gossip — which never leaves the
+  // committee — stays lane-local.
+  RapidChainNode& node = nodes_.emplace_back(*this, id, committee);
+  rt_.add_node(id, node, node.store(), coord,
+               static_cast<std::uint32_t>(committee % rt_.shards()));
+  coords_.push_back(coord);
 }
 
 std::size_t RapidChainNetwork::committee_of_block(const Hash256& hash) const {
@@ -315,14 +190,11 @@ sim::SimTime RapidChainNetwork::disseminate_and_settle(const Block& block) {
   const auto& members = committees_[c];
 
   pending_[hash] = shared;
-  spreads_[hash] = Spread{sim_.now(), 0, members.size(), 0};
+  spreads_[hash] = Spread{rt_.simulator().now(), 0, members.size(), 0};
 
   const sim::NodeId leader = members[leader_cursor_++ % members.size()];
   nodes_[leader].lead_dissemination(shared);
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
+  rt_.settle();
 
   pending_.erase(hash);
   const Spread& spread = spreads_.at(hash);
@@ -337,34 +209,13 @@ std::shared_ptr<const Block> RapidChainNetwork::pending_block(const Hash256& has
   return it == pending_.end() ? nullptr : it->second;
 }
 
-void RapidChainNetwork::note_stored(sim::NodeId id, const Hash256& hash) {
-  (void)id;
-  if (sim_.in_parallel_phase()) {
-    const sim::Simulator::EventRef ev = sim_.current_event();
-    deferred_stores_[sim_.current_lane()].push_back({ev.at, ev.key, hash});
-    return;
-  }
-  note_stored_now(hash, sim_.now());
-}
-
-void RapidChainNetwork::note_stored_now(const Hash256& hash, sim::SimTime at) {
-  const auto it = spreads_.find(hash);
-  if (it == spreads_.end()) return;
-  it->second.holders += 1;
-  if (it->second.holders >= it->second.committee_size) it->second.finished = at;
-}
-
-void RapidChainNetwork::flush_deferred_stores() {
-  std::vector<DeferredStore> all;
-  for (auto& lane : deferred_stores_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const DeferredStore& a, const DeferredStore& b) {
-    return a.at != b.at ? a.at < b.at : a.key < b.key;
+void RapidChainNetwork::note_stored(const Hash256& hash) {
+  rt_.defer([this, hash](sim::SimTime at) {
+    const auto it = spreads_.find(hash);
+    if (it == spreads_.end()) return;
+    it->second.holders += 1;
+    if (it->second.holders >= it->second.committee_size) it->second.finished = at;
   });
-  for (const DeferredStore& s : all) note_stored_now(s.hash, s.at);
 }
 
 void RapidChainNetwork::preload_chain(const Chain& chain) {
@@ -377,31 +228,13 @@ void RapidChainNetwork::preload_chain(const Chain& chain) {
   }
 }
 
-sim::NodeId RapidChainNetwork::add_sync_joiner(sim::Coord coord) {
-  const auto new_id = static_cast<sim::NodeId>(nodes_.size());
-  ByteWriter w(8);
-  w.u64(new_id);
-  const std::size_t c = static_cast<std::size_t>(
-      Hash256::tagged("rc/committee", ByteSpan(w.bytes().data(), w.bytes().size())).low64() %
-      cfg_.committee_count);
+fleet::JoinReport RapidChainNetwork::bootstrap(sim::Coord coord, const sync::SyncConfig& cfg) {
+  const auto joiner = static_cast<sim::NodeId>(nodes_.size());
+  const std::size_t c = committee_of_node(joiner);
+  add_node(joiner, coord, c);
+  committees_[c].push_back(joiner);
 
-  fleet_tally_.ensure_size(static_cast<std::size_t>(new_id) + 1);
-  RapidChainNode& node = nodes_.emplace_back(*this, new_id, c);
-  const sim::NodeId id = net_->add_node(&node, coord);
-  coords_.push_back(coord);
-  committees_[c].push_back(id);
-  if (shards_ > 1) sim_.set_node_lane(id, static_cast<std::uint32_t>(c % shards_));
-  install_backend(node, id);
-  return id;
-}
-
-RapidChainNetwork::BootstrapReport RapidChainNetwork::bootstrap_added(
-    sim::NodeId joiner, const sync::SyncConfig& cfg) {
-  const std::size_t c = nodes_[joiner].committee();
-
-  // Pull candidates: committee members by distance (the old path hung the
-  // whole shard download off the single nearest member).
-  const sim::Coord coord = coords_[joiner];
+  // Pull candidates: committee members by distance.
   std::vector<sim::NodeId> candidates;
   for (sim::NodeId member : committees_[c])
     if (member != joiner) candidates.push_back(member);
@@ -414,60 +247,12 @@ RapidChainNetwork::BootstrapReport RapidChainNetwork::bootstrap_added(
   const std::size_t probe = std::max<std::size_t>(cfg.max_peers * 2, 4);
   if (candidates.size() > probe) candidates.resize(probe);
 
-  BootstrapReport report;
-  report.joiner = joiner;
-  report.committee = c;
-  report.sync = sync::drive_join(*this, joiner, cfg, candidates);
-  report.complete = report.sync.complete;
-  report.bodies_fetched = report.sync.bodies_committed;
-  report.elapsed_us = report.sync.time_to_synced_us;
-  report.bytes_downloaded = net_->traffic(joiner).bytes_received;
+  fleet::JoinReport report = fleet::drive_join(rt_, nodes_[joiner], cfg, candidates);
+  report.cluster = c;
   if (report.complete)
     obs::TraceSink::global().record_sim("bootstrap/shard_sync",
                                         static_cast<double>(report.elapsed_us));
   return report;
-}
-
-RapidChainNetwork::BootstrapReport RapidChainNetwork::bootstrap(
-    sim::Coord coord, const sync::SyncConfig& cfg) {
-  return bootstrap_added(add_sync_joiner(coord), cfg);
-}
-
-RapidChainNetwork::BootstrapReport RapidChainNetwork::bootstrap(sim::Coord coord) {
-  return bootstrap(coord, sync::SyncConfig{});
-}
-
-void RapidChainNetwork::start_faults(const sim::FaultPlan& plan) {
-  if (faults_) throw std::logic_error("start_faults called twice");
-  faults_ = std::make_unique<sim::FaultInjector>(*net_, plan);
-  std::vector<sim::NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<sim::NodeId>(i));
-  faults_->start(all, [this](sim::NodeId id, bool online) {
-    metrics_.counter(online ? "churn.up" : "churn.down").inc();
-    if (status_observer_) status_observer_(id, online);
-  });
-}
-
-void RapidChainNetwork::run_for(sim::SimTime us) {
-  sim_.run_until(sim_.now() + us);
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-void RapidChainNetwork::settle() {
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-std::vector<const BlockStore*> RapidChainNetwork::stores() const {
-  std::vector<const BlockStore*> out;
-  out.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) out.push_back(&nodes_[i].store());
-  return out;
 }
 
 }  // namespace ici::baseline

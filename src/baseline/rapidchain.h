@@ -24,15 +24,7 @@
 
 #include "chain/chain.h"
 #include "common/arena.h"
-#include "metrics/registry.h"
-#include "sim/faults.h"
-#include "sim/network.h"
-#include "storage/block_store.h"
-#include "storage/fleet_tally.h"
-#include "storage/header_index.h"
-#include "storage/store_runtime.h"
-#include "sync/serve.h"
-#include "sync/session.h"
+#include "fleet/sync_peer.h"
 
 namespace ici::baseline {
 
@@ -69,27 +61,11 @@ struct ChunkMsg final : sim::MessageBase {
   [[nodiscard]] const char* type_name() const override { return "Chunk"; }
 };
 
-/// Bootstrap shard download.
-struct ShardRequestMsg final : sim::MessageBase {
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* type_name() const override { return "ShardRequest"; }
-};
-
-struct ShardResponseMsg final : sim::MessageBase {
-  std::vector<std::shared_ptr<const Block>> blocks;
-  [[nodiscard]] std::size_t wire_size() const override {
-    std::size_t total = 4;
-    for (const auto& b : blocks) total += b->serialized_size();
-    return total;
-  }
-  [[nodiscard]] const char* type_name() const override { return "ShardResponse"; }
-};
-
 // -- network ------------------------------------------------------------------
 
 class RapidChainNetwork;
 
-class RapidChainNode final : public sim::INode, private sync::BulkPullSession::Env {
+class RapidChainNode final : public sim::INode, public fleet::SyncPeer {
  public:
   RapidChainNode(RapidChainNetwork& ctx, sim::NodeId id, std::size_t committee);
 
@@ -98,18 +74,6 @@ class RapidChainNode final : public sim::INode, private sync::BulkPullSession::E
   /// Leader path: store the block and start IDA dissemination.
   void lead_dissemination(std::shared_ptr<const Block> block);
 
-  void start_shard_sync(sim::NodeId peer, std::function<void(std::size_t)> on_done);
-
-  /// Streaming bulk-sync join (docs/BOOTSTRAP.md): pull the committee shard
-  /// from multiple members in parallel. Heights are sparse (the committee
-  /// holds only its own blocks) so ranges use the gapped flavour.
-  void start_streaming_sync(const sync::SyncConfig& cfg,
-                            sync::SyncCheckpoint* checkpoint,
-                            std::vector<sim::NodeId> candidates,
-                            std::function<void(const sync::SyncReport&)> on_done);
-  /// Crash semantics: drops the in-memory session (timers become inert).
-  void abandon_sync() { sync_session_.reset(); }
-
   [[nodiscard]] BlockStore& store() { return store_; }
   [[nodiscard]] const BlockStore& store() const { return store_; }
   [[nodiscard]] std::size_t committee() const { return committee_; }
@@ -117,14 +81,9 @@ class RapidChainNode final : public sim::INode, private sync::BulkPullSession::E
  private:
   void receive_chunk(const ChunkMsg& msg, sim::NodeId from);
 
-  // -- streaming sync (sync::BulkPullSession::Env + serving) -------------
-  void handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg);
-  void send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                          std::uint64_t io_delay_us = 0);
-  [[nodiscard]] sim::NodeId sync_self() const override { return id_; }
-  [[nodiscard]] sim::Simulator& sync_simulator() override;
-  void sync_send(sim::NodeId to, sim::MessagePtr msg) override;
-  [[nodiscard]] std::size_t sync_message_overhead() const override;
+  // -- streaming sync: the strategy-specific BulkPullSession::Env hooks ----
+  // Heights are sparse (the committee holds only its own blocks), so ranges
+  // use the gapped flavour.
   [[nodiscard]] bool sync_linked_headers() const override { return false; }
   [[nodiscard]] sync::PullMode sync_range_mode() const override {
     return sync::PullMode::kHeadersAndBodies;
@@ -152,15 +111,11 @@ class RapidChainNode final : public sim::INode, private sync::BulkPullSession::E
   };
   std::unordered_map<Hash256, Reassembly, Hash256Hasher> reassembly_;
   BlockStore store_;
-  std::function<void(std::size_t)> sync_done_;
-  std::shared_ptr<sync::BulkPullSession> sync_session_;
-  std::uint64_t sync_epoch_ = 0;
 };
 
 class RapidChainNetwork {
  public:
   explicit RapidChainNetwork(RapidChainConfig cfg);
-  ~RapidChainNetwork();
 
   RapidChainNetwork(const RapidChainNetwork&) = delete;
   RapidChainNetwork& operator=(const RapidChainNetwork&) = delete;
@@ -175,94 +130,50 @@ class RapidChainNetwork {
   /// committee.
   void preload_chain(const Chain& chain);
 
-  struct BootstrapReport {
-    std::uint64_t bytes_downloaded = 0;
-    sim::SimTime elapsed_us = 0;
-    std::size_t bodies_fetched = 0;
-    std::size_t committee = 0;
-    bool complete = false;
-    sim::NodeId joiner = 0;
-    /// Protocol-level detail (per-peer attribution, retries, resume count).
-    sync::SyncReport sync;
-  };
   /// New node joins the committee its id hashes to and bulk-pulls the shard
   /// from multiple committee members via the streaming sync protocol.
-  [[nodiscard]] BootstrapReport bootstrap(sim::Coord coord);
-  [[nodiscard]] BootstrapReport bootstrap(sim::Coord coord, const sync::SyncConfig& cfg);
-
-  /// Split entry points for fault experiments: add the node first (so a
-  /// FaultPlan can script crash windows on its id), start faults, then run.
-  [[nodiscard]] sim::NodeId add_sync_joiner(sim::Coord coord);
-  [[nodiscard]] BootstrapReport bootstrap_added(sim::NodeId joiner,
-                                                const sync::SyncConfig& cfg);
-
-  /// Observer for online/offline flips from fault injection (see
-  /// IciNetwork::set_status_observer). Pass nullptr to uninstall.
-  using StatusObserver = std::function<void(sim::NodeId, bool online)>;
-  void set_status_observer(StatusObserver observer) {
-    status_observer_ = std::move(observer);
-  }
+  [[nodiscard]] fleet::JoinReport bootstrap(sim::Coord coord, const sync::SyncConfig& cfg = {});
 
   /// Installs a fault injector over the committee network. RapidChain's
   /// intra-committee replication masks crashes until a whole committee is
   /// down. Call at most once.
-  void start_faults(const sim::FaultPlan& plan);
-  [[nodiscard]] const sim::FaultInjector* faults() const { return faults_.get(); }
+  void start_faults(const sim::FaultPlan& plan) { rt_.start_faults(plan); }
+  [[nodiscard]] const sim::FaultInjector* faults() const { return rt_.faults(); }
 
-  /// Runs the simulator for `us` of simulated time and refreshes counters.
-  void run_for(sim::SimTime us);
-
-  /// Runs the simulator until quiescent and refreshes counters (retires any
-  /// in-flight disk appends after a preload, among other things).
-  void settle();
+  /// Runs the simulator until quiescent / for `us` of simulated time, then
+  /// refreshes the mirrored counters.
+  void settle() { rt_.settle(); }
+  void run_for(sim::SimTime us) { rt_.run_for(us); }
 
   [[nodiscard]] std::size_t committee_of_block(const Hash256& hash) const;
   [[nodiscard]] const std::vector<sim::NodeId>& committee_members(std::size_t c) const;
   [[nodiscard]] std::size_t gossip_degree() const { return cfg_.gossip_degree; }
 
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return *net_; }
-  [[nodiscard]] metrics::Registry& metrics() { return metrics_; }
+  [[nodiscard]] fleet::FleetRuntime& runtime() { return rt_; }
+  [[nodiscard]] sim::Simulator& simulator() { return rt_.simulator(); }
+  [[nodiscard]] sim::Network& network() { return rt_.network(); }
+  [[nodiscard]] metrics::Registry& metrics() { return rt_.metrics(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] RapidChainNode& node(sim::NodeId id) { return nodes_.at(id); }
-  [[nodiscard]] std::vector<const BlockStore*> stores() const;
-
-  /// Fleet-shared header table / contiguous per-node tallies (fleet_tally.h).
-  [[nodiscard]] const std::shared_ptr<HeaderIndex>& header_index() const {
-    return header_index_;
-  }
-  [[nodiscard]] FleetTally& fleet_tally() { return fleet_tally_; }
+  [[nodiscard]] const std::vector<const BlockStore*>& stores() const { return rt_.stores(); }
 
   /// Shared registry of in-flight blocks so members can materialize the
   /// body once their chunk set completes (chunk payloads are simulated).
   [[nodiscard]] std::shared_ptr<const Block> pending_block(const Hash256& hash) const;
 
-  /// Buffered per lane during parallel shard windows, applied at the next
-  /// barrier in (at, key) order (shard-count-invariant bookkeeping).
-  void note_stored(sim::NodeId id, const Hash256& hash);
-
-  /// Serve-side sync throttle, or nullptr when --sync-serve-rate is 0.
-  [[nodiscard]] sync::ServeThrottle* serve_throttle() { return serve_throttle_.get(); }
+  /// Called by members when they store a disseminated block (through the
+  /// runtime's deferred log, so shard-count-invariant).
+  void note_stored(const Hash256& hash);
 
  private:
-  void note_stored_now(const Hash256& hash, sim::SimTime at);
-  void flush_deferred_stores();
-  void install_backend(RapidChainNode& node, sim::NodeId id);
+  [[nodiscard]] std::size_t committee_of_node(sim::NodeId id) const;
+  void add_node(sim::NodeId id, sim::Coord coord, std::size_t committee);
 
   RapidChainConfig cfg_;
-  std::size_t shards_ = 1;
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
-  // Shared header snapshot + SoA tallies outlive the nodes bound to them;
-  // the store runtime owns the on-disk root the backends write under.
-  std::shared_ptr<HeaderIndex> header_index_ = std::make_shared<HeaderIndex>();
-  FleetTally fleet_tally_;
-  std::unique_ptr<StoreRuntime> store_runtime_;
+  fleet::FleetRuntime rt_;  // before nodes_: see fleet/runtime.h
   ObjectArena<RapidChainNode> nodes_;
-  std::unique_ptr<sim::FaultInjector> faults_;  // after net_: hook uninstall order
   std::vector<std::vector<sim::NodeId>> committees_;
   std::vector<sim::Coord> coords_;
-  metrics::Registry metrics_;
 
   std::unordered_map<Hash256, std::shared_ptr<const Block>, Hash256Hasher> pending_;
   struct Spread {
@@ -272,16 +183,8 @@ class RapidChainNetwork {
     sim::SimTime finished = 0;
   };
   std::unordered_map<Hash256, Spread, Hash256Hasher> spreads_;
-  struct DeferredStore {
-    sim::SimTime at = 0;
-    std::uint64_t key = 0;
-    Hash256 hash;
-  };
-  std::vector<std::vector<DeferredStore>> deferred_stores_;
-  std::unique_ptr<sync::ServeThrottle> serve_throttle_;
   std::uint64_t leader_cursor_ = 0;
   bool genesis_done_ = false;
-  StatusObserver status_observer_;
 };
 
 }  // namespace ici::baseline

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "sync/driver.h"
-
 namespace ici::core {
 
 cluster::NodeId Bootstrapper::add_joiner_nearest(IciNetwork& net, sim::Coord coord) {
@@ -30,8 +28,8 @@ cluster::NodeId Bootstrapper::add_joiner_nearest(IciNetwork& net, sim::Coord coo
   return net.add_joiner(coord, best_cluster);
 }
 
-BootstrapReport Bootstrapper::run(IciNetwork& net, cluster::NodeId joiner,
-                                  const sync::SyncConfig& cfg) {
+fleet::JoinReport Bootstrapper::run(IciNetwork& net, cluster::NodeId joiner,
+                                    const sync::SyncConfig& cfg) {
   auto& dir = net.directory();
   const std::size_t cluster = dir.cluster_of(joiner);
   const sim::Coord coord = dir.info(joiner).coord;
@@ -51,30 +49,14 @@ BootstrapReport Bootstrapper::run(IciNetwork& net, cluster::NodeId joiner,
   const std::size_t probe = std::max<std::size_t>(cfg.max_peers * 2, 4);
   if (candidates.size() > probe) candidates.resize(probe);
 
-  BootstrapReport report;
-  report.joiner = joiner;
+  fleet::JoinReport report = fleet::drive_join(net.runtime(), net.node(joiner), cfg, candidates);
   report.cluster = cluster;
-  report.sync = sync::drive_join(net, joiner, cfg, candidates);
-  report.complete = report.sync.complete;
-  report.bodies_fetched = report.sync.bodies_committed;
-  report.elapsed_us = report.sync.time_to_synced_us;
-
-  // Wire-level totals come from the network's per-node tallies so coded
-  // reconstruction traffic (shard requests outside the session) counts too.
-  const sim::NodeTraffic& traffic = net.network().traffic(joiner);
-  report.bytes_downloaded = traffic.bytes_received;
-  report.bytes_uploaded = traffic.bytes_sent;
   return report;
 }
 
-BootstrapReport Bootstrapper::join(IciNetwork& net, sim::Coord coord,
-                                   const sync::SyncConfig& cfg) {
-  const cluster::NodeId joiner = add_joiner_nearest(net, coord);
-  return run(net, joiner, cfg);
-}
-
-BootstrapReport Bootstrapper::join(IciNetwork& net, sim::Coord coord) {
-  return join(net, coord, sync::SyncConfig{});
+fleet::JoinReport Bootstrapper::join(IciNetwork& net, sim::Coord coord,
+                                     const sync::SyncConfig& cfg) {
+  return run(net, add_joiner_nearest(net, coord), cfg);
 }
 
 }  // namespace ici::core

@@ -10,38 +10,25 @@
 // the join resumes from the last verified range (docs/BOOTSTRAP.md).
 #pragma once
 
+#include "fleet/sync_peer.h"
 #include "ici/network.h"
-#include "sync/checkpoint.h"
 
 namespace ici::core {
-
-struct BootstrapReport {
-  cluster::NodeId joiner = 0;
-  std::size_t cluster = 0;
-  std::uint64_t bytes_downloaded = 0;
-  std::uint64_t bytes_uploaded = 0;
-  sim::SimTime elapsed_us = 0;
-  std::size_t bodies_fetched = 0;
-  bool complete = false;
-  /// Protocol-level detail (per-peer attribution, retries, resume count).
-  sync::SyncReport sync;
-};
 
 class Bootstrapper {
  public:
   /// Adds a fresh node at `coord`, joins it to the cluster with the nearest
   /// members, runs the join protocol to completion, and reports the cost.
   /// The simulation must be quiescent when called.
-  [[nodiscard]] static BootstrapReport join(IciNetwork& net, sim::Coord coord);
-  [[nodiscard]] static BootstrapReport join(IciNetwork& net, sim::Coord coord,
-                                            const sync::SyncConfig& cfg);
+  [[nodiscard]] static fleet::JoinReport join(IciNetwork& net, sim::Coord coord,
+                                              const sync::SyncConfig& cfg = {});
 
   /// Split entry points for fault experiments: add the node first (so a
   /// FaultPlan can script crash windows on its id), start faults, then run.
   [[nodiscard]] static cluster::NodeId add_joiner_nearest(IciNetwork& net,
                                                          sim::Coord coord);
-  [[nodiscard]] static BootstrapReport run(IciNetwork& net, cluster::NodeId joiner,
-                                           const sync::SyncConfig& cfg);
+  [[nodiscard]] static fleet::JoinReport run(IciNetwork& net, cluster::NodeId joiner,
+                                             const sync::SyncConfig& cfg);
 };
 
 }  // namespace ici::core

@@ -4,11 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "metrics/sim_metrics.h"
 #include "obs/trace.h"
-#include "storage/store_metrics.h"
-#include "sim/lbts.h"
-#include "sim/shard.h"
 
 namespace ici::core {
 
@@ -26,32 +22,19 @@ std::unique_ptr<cluster::Clusterer> make_clusterer(const std::string& name,
 
 }  // namespace
 
-IciNetwork::IciNetwork(IciNetworkConfig cfg) : cfg_(std::move(cfg)) {
+IciNetwork::IciNetwork(IciNetworkConfig cfg)
+    : cfg_(std::move(cfg)), rt_(cfg_.net, cfg_.shards, cfg_.sync_serve_rate_bps, cfg_.store) {
   std::string why;
   if (!cfg_.ici.valid(&why)) throw std::invalid_argument("IciConfig: " + why);
   if (cfg_.node_count < cfg_.ici.cluster_count)
     throw std::invalid_argument("node_count must be >= cluster_count");
 
-  net_ = std::make_unique<sim::Network>(sim_, cfg_.net);
   infos_ = cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed,
                                       /*world_size=*/100.0, cfg_.heterogeneous_capacity);
 
   const auto clusterer = make_clusterer(cfg_.ici.clustering, cfg_.ici.seed);
   cluster::Clustering clustering = clusterer->cluster(infos_, cfg_.ici.cluster_count);
   directory_ = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
-
-  // Sharded event engine: whole clusters share a lane, so the dominant
-  // intra-cluster traffic never crosses a lane boundary. Configured before
-  // any node registers (the simulator requires an empty calendar).
-  shards_ = cfg_.shards == 0 ? sim::default_shards() : cfg_.shards;
-  if (shards_ > 1) {
-    sim_.configure_shards(shards_, sim::lookahead_from(cfg_.net));
-    sim_.set_barrier_hook([this] { flush_deferred_commits(); });
-    deferred_commits_.resize(shards_);
-  }
-  if (cfg_.sync_serve_rate_bps > 0.0)
-    serve_throttle_ = std::make_unique<sync::ServeThrottle>(cfg_.sync_serve_rate_bps);
-  store_runtime_ = std::make_unique<StoreRuntime>(cfg_.store);
 
   assigner_ =
       std::make_unique<cluster::RendezvousAssigner>(cfg_.ici.capacity_weighted_assignment);
@@ -61,36 +44,31 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg) : cfg_(std::move(cfg)) {
                                                     cfg_.ici.erasure_parity);
   }
 
-  net_->reserve_nodes(infos_.size());
-  fleet_tally_.ensure_size(infos_.size());
-  for (const cluster::NodeInfo& info : infos_) {
-    IciNode& node = nodes_.emplace_back(*this, info.id);
-    const sim::NodeId assigned = net_->add_node(&node, info.coord);
-    if (assigned != info.id) throw std::logic_error("node id mismatch during registration");
-    if (shards_ > 1) sim_.set_node_lane(info.id, directory_->shard_of(info.id, shards_));
-    install_backend(node, info.id);
-  }
+  rt_.reserve(infos_.size());
+  for (const cluster::NodeInfo& info : infos_) add_node(info);
+
+  // Fault flips update the directory, then repair the node's cluster.
+  rt_.set_flip_handler([this](NodeId id, bool online) {
+    directory_->set_online(id, online);
+    repair_cluster(directory_->cluster_of(id));
+  });
 
   // The newest network drives the trace sink's sim clock; the token keeps a
   // dying network from yanking a newer one's clock in multi-network benches.
+  // Only the ICI facade installs it: a baseline that did would start
+  // stamping sim_us on its wall-clock spans.
   trace_clock_token_ =
-      obs::TraceSink::global().set_sim_clock([this] { return sim_.now(); });
+      obs::TraceSink::global().set_sim_clock([this] { return rt_.simulator().now(); });
 }
 
 IciNetwork::~IciNetwork() { obs::TraceSink::global().clear_sim_clock(trace_clock_token_); }
 
-void IciNetwork::install_backend(IciNode& node, NodeId id) {
-  std::unique_ptr<StorageBackend> backend = store_runtime_->make_backend(id);
-  if (!backend) return;  // mem: the store's built-in backend is already right
-  IoEnv env;
-  env.now = [this] { return sim_.now(); };
-  // Retirement events run on the owning node's lane: lane-local during
-  // parallel windows, so IO completions stay shard-invariant.
-  env.schedule_at = [this, id](std::uint64_t at, std::function<void()> fn) {
-    sim_.schedule_for(id, at, std::move(fn));
-  };
-  backend->set_io_env(std::move(env));
-  node.store().set_backend(std::move(backend));
+void IciNetwork::add_node(const cluster::NodeInfo& info) {
+  // Whole clusters share an event lane, so the dominant intra-cluster
+  // traffic never crosses a lane boundary.
+  IciNode& node = nodes_.emplace_back(*this, info.id);
+  rt_.add_node(info.id, node, node.store(), info.coord,
+               directory_->shard_of(info.id, rt_.shards()));
 }
 
 std::vector<NodeId> IciNetwork::storers_of(const Hash256& hash, std::uint64_t height,
@@ -219,22 +197,8 @@ void IciNetwork::disseminate(const Block& block) {
   }
   if (proposer == cluster::kNoNode) throw std::runtime_error("no online proposer available");
 
-  progress_[block.hash()] = CommitProgress{0, sim_.now(), 0};
+  progress_[block.hash()] = CommitProgress{0, rt_.simulator().now(), 0};
   nodes_[proposer].propose(block);
-}
-
-void IciNetwork::settle() {
-  sim_.run();
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
-}
-
-void IciNetwork::run_for(sim::SimTime us) {
-  sim_.run_until(sim_.now() + us);
-  metrics::sync_sim_counters(metrics_, sim_);
-  if (faults_) metrics::sync_fault_counters(metrics_, faults_->stats());
-  if (store_runtime_->disk()) sync_store_counters(metrics_, stores());
 }
 
 sim::SimTime IciNetwork::disseminate_and_settle(const Block& block) {
@@ -247,45 +211,18 @@ sim::SimTime IciNetwork::disseminate_and_settle(const Block& block) {
   return latency;
 }
 
-void IciNetwork::note_commit(std::size_t cluster, const Block& block) {
-  (void)cluster;
-  const Hash256 hash = block.hash();
-  if (sim_.in_parallel_phase()) {
-    // Commit handlers on different lanes would race on progress_/committed_;
-    // buffer the record and apply it at the barrier in (at, key) order —
-    // the same order the single-queue engine would have applied it.
-    const sim::Simulator::EventRef ev = sim_.current_event();
-    deferred_commits_[sim_.current_lane()].push_back(
-        {ev.at, ev.key, hash, block.header().height, block.serialized_size()});
-    return;
-  }
-  note_commit_now(hash, block.header().height, block.serialized_size(), sim_.now());
-}
-
-void IciNetwork::note_commit_now(const Hash256& hash, std::uint64_t height,
-                                 std::size_t size_bytes, sim::SimTime at) {
-  auto& prog = progress_[hash];
-  prog.clusters_committed += 1;
-  if (prog.clusters_committed == 1) {
-    committed_index_.emplace(hash, committed_.size());
-    committed_.push_back({hash, height, size_bytes});
-  }
-  if (prog.clusters_committed == directory_->cluster_count()) {
-    prog.fully_committed_at = at;
-  }
-}
-
-void IciNetwork::flush_deferred_commits() {
-  std::vector<DeferredCommit> all;
-  for (auto& lane : deferred_commits_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) return;
-  std::sort(all.begin(), all.end(), [](const DeferredCommit& a, const DeferredCommit& b) {
-    return a.at != b.at ? a.at < b.at : a.key < b.key;
+void IciNetwork::note_commit(const Block& block) {
+  // Commit handlers on different lanes would race on progress_/committed_.
+  const CommittedBlock record{block.hash(), block.header().height, block.serialized_size()};
+  rt_.defer([this, record](sim::SimTime at) {
+    auto& prog = progress_[record.hash];
+    prog.clusters_committed += 1;
+    if (prog.clusters_committed == 1) {
+      committed_index_.emplace(record.hash, committed_.size());
+      committed_.push_back(record);
+    }
+    if (prog.clusters_committed == directory_->cluster_count()) prog.fully_committed_at = at;
   });
-  for (const DeferredCommit& c : all) note_commit_now(c.hash, c.height, c.size_bytes, c.at);
 }
 
 sim::SimTime IciNetwork::full_commit_time(const Hash256& hash) const {
@@ -337,37 +274,12 @@ void IciNetwork::preload_chain(const Chain& chain, bool build_tx_index) {
   }
 }
 
-void IciNetwork::start_churn(sim::ChurnConfig cfg) {
-  churn_ = std::make_unique<sim::ChurnModel>(*net_, cfg);
-  std::vector<NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<NodeId>(i));
-  churn_->start(all, [this](NodeId id, bool online) { handle_churn_event(id, online); });
-}
-
-void IciNetwork::start_faults(const sim::FaultPlan& plan) {
-  if (faults_) throw std::logic_error("start_faults called twice");
-  faults_ = std::make_unique<sim::FaultInjector>(*net_, plan);
-  std::vector<NodeId> all;
-  all.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) all.push_back(static_cast<NodeId>(i));
-  faults_->start(all, [this](NodeId id, bool online) { handle_churn_event(id, online); });
-}
-
 void IciNetwork::start_repair_daemon(sim::SimTime interval_us, sim::SimTime until_us) {
-  repair_daemon_ = std::make_unique<cluster::RepairDaemon>(sim_, interval_us, until_us, [this] {
-    for (std::size_t c = 0; c < directory_->cluster_count(); ++c) repair_cluster(c);
-  });
+  repair_daemon_ = std::make_unique<cluster::RepairDaemon>(
+      rt_.simulator(), interval_us, until_us, [this] {
+        for (std::size_t c = 0; c < directory_->cluster_count(); ++c) repair_cluster(c);
+      });
   repair_daemon_->start();
-}
-
-void IciNetwork::handle_churn_event(NodeId id, bool online) {
-  directory_->set_online(id, online);
-  metrics_.counter(online ? "churn.up" : "churn.down").inc();
-  repair_cluster(directory_->cluster_of(id));
-  // Observers (e.g. a sync driver resuming a crashed joiner) run last, after
-  // the directory and repair reflect the flip.
-  if (status_observer_) status_observer_(id, online);
 }
 
 void IciNetwork::repair_cluster(std::size_t cluster) {
@@ -386,7 +298,7 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
 
   for (const cluster::RepairAction& action : plan.actions) {
     nodes_[action.target].pull_from(action.source, action.block_hash);
-    metrics_.counter("repair.copies_started").inc();
+    rt_.metrics().counter("repair.copies_started").inc();
   }
 
   // Blocks every local holder lost: optionally restore them from another
@@ -412,11 +324,11 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
           assigner_->storers(ref.hash, ref.height, alive, cfg_.ici.replication);
       if (want.empty()) continue;
       nodes_[want.front()].pull_from(source, ref.hash);
-      metrics_.counter("repair.cross_cluster_copies").inc();
+      rt_.metrics().counter("repair.cross_cluster_copies").inc();
       --unrecoverable;
     }
   }
-  metrics_.counter("repair.unavailable_blocks").inc(unrecoverable);
+  rt_.metrics().counter("repair.unavailable_blocks").inc(unrecoverable);
 }
 
 void IciNetwork::repair_cluster_coded(std::size_t cluster) {
@@ -448,7 +360,7 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
     }
     if (missing.empty()) continue;
     if (online_shards < d) {
-      metrics_.counter("repair.unavailable_blocks").inc();
+      rt_.metrics().counter("repair.unavailable_blocks").inc();
       continue;
     }
     // Replacements: alive members beyond the holder list, rendezvous order.
@@ -466,7 +378,7 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
       }
       if (replacement == cluster::kNoNode) break;  // cluster too small/busy
       nodes_[replacement].repair_shard(b.hash, b.height, index);
-      metrics_.counter("repair.shards_started").inc();
+      rt_.metrics().counter("repair.shards_started").inc();
     }
   }
 }
@@ -543,19 +455,12 @@ double IciNetwork::network_availability() const {
   return static_cast<double>(available) / static_cast<double>(committed_.size());
 }
 
-std::vector<const BlockStore*> IciNetwork::stores() const {
-  std::vector<const BlockStore*> out;
-  out.reserve(nodes_.size());
-  for (std::size_t id = 0; id < nodes_.size(); ++id) out.push_back(&nodes_[id].store());
-  return out;
-}
-
 StorageSnapshot IciNetwork::storage_snapshot() const {
   // Pure SoA scan: one pass over the contiguous tally rows, no node-object
   // pointer chasing. Matches IciNode::storage_bytes() per construction.
   StorageSnapshot snap;
   RunningStat stat;
-  for (const NodeStorageTally& t : fleet_tally_.slots()) {
+  for (const NodeStorageTally& t : rt_.fleet_tally().slots()) {
     const std::uint64_t bytes = t.body_bytes +
                                 static_cast<std::uint64_t>(t.header_count) *
                                     BlockHeader::kWireSize +
@@ -643,7 +548,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
         double best = std::numeric_limits<double>::max();
         for (NodeId h : holders) {
           if (!directory_->online(h)) continue;
-          const double d = net_->propagation_us(target, h);
+          const double d = rt_.network().propagation_us(target, h);
           if (d < best) {
             best = d;
             source = h;
@@ -651,7 +556,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
         }
         nodes_[target].pull_from(source, b.hash);
         ++report.copies_started;
-        metrics_.counter("reconfig.copies_started").inc();
+        rt_.metrics().counter("reconfig.copies_started").inc();
       }
     }
   }
@@ -675,7 +580,7 @@ std::uint64_t IciNetwork::prune_unassigned() {
       }
     }
   }
-  if (freed > 0) metrics_.counter("reconfig.prunes").inc();
+  if (freed > 0) rt_.metrics().counter("reconfig.prunes").inc();
   return freed;
 }
 
@@ -686,12 +591,7 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
   info.capacity = 1.0;
   infos_.push_back(info);
   directory_->add_member(info, cluster);
-  fleet_tally_.ensure_size(static_cast<std::size_t>(info.id) + 1);
-  IciNode& node = nodes_.emplace_back(*this, info.id);
-  const sim::NodeId assigned = net_->add_node(&node, coord);
-  if (assigned != info.id) throw std::logic_error("joiner id mismatch");
-  if (shards_ > 1) sim_.set_node_lane(info.id, directory_->shard_of(info.id, shards_));
-  install_backend(node, info.id);
+  add_node(info);
   return info.id;
 }
 

@@ -19,15 +19,9 @@
 #include "cluster/repair.h"
 #include "common/arena.h"
 #include "erasure/rs.h"
+#include "fleet/runtime.h"
 #include "ici/node.h"
-#include "metrics/registry.h"
-#include "sim/churn.h"
-#include "sim/faults.h"
-#include "storage/fleet_tally.h"
-#include "storage/header_index.h"
 #include "storage/storage_meter.h"
-#include "storage/store_runtime.h"
-#include "sync/serve.h"
 
 namespace ici::core {
 
@@ -73,7 +67,7 @@ class IciNetwork {
 
   /// Runs the simulator until no events remain, then refreshes the "sim.*"
   /// event-core counters in metrics().
-  void settle();
+  void settle() { rt_.settle(); }
 
   /// Statically installs an already-built chain (headers everywhere, bodies
   /// on assigned storers, shards updated) with no message traffic. Storage
@@ -83,15 +77,12 @@ class IciNetwork {
   /// O(txs·k) hashing, so it is opt-in).
   void preload_chain(const Chain& chain, bool build_tx_index = false);
 
-  /// Starts churn over all nodes; offline/online transitions trigger the
-  /// repair protocol (actual copy traffic).
-  void start_churn(sim::ChurnConfig cfg);
-
   /// Installs a fault injector (crashes, drops, duplicates, partitions) over
   /// the simulated network. Crash/restart transitions update the directory
-  /// and trigger repair just like churn. Call at most once, before running.
-  void start_faults(const sim::FaultPlan& plan);
-  [[nodiscard]] const sim::FaultInjector* faults() const { return faults_.get(); }
+  /// and trigger the repair protocol (actual copy traffic); churn runs are a
+  /// FaultPlan crash session. Call at most once, before running.
+  void start_faults(const sim::FaultPlan& plan) { rt_.start_faults(plan); }
+  [[nodiscard]] const sim::FaultInjector* faults() const { return rt_.faults(); }
 
   /// Starts a background repair daemon: every `interval_us` of sim time a
   /// full repair pass runs over every cluster, re-replicating slices lost to
@@ -101,7 +92,7 @@ class IciNetwork {
   /// Runs the simulator for `us` of simulated time (events may remain) and
   /// refreshes the mirrored sim/fault counters. Fault experiments advance in
   /// windows like this to sample availability over time.
-  void run_for(sim::SimTime us);
+  void run_for(sim::SimTime us) { rt_.run_for(us); }
 
   /// Availability snapshot: fraction of (cluster, committed block) pairs
   /// with at least one online holder.
@@ -112,26 +103,19 @@ class IciNetwork {
   /// the network keeps one copy per cluster).
   [[nodiscard]] double network_availability() const;
 
-  /// Runs a repair pass for a cluster now (also invoked by churn hooks).
+  /// Runs a repair pass for a cluster now (also invoked on fault flips).
   void repair_cluster(std::size_t cluster);
 
   // -- accessors used by IciNode and the experiment harnesses ------------
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] sim::Network& network() { return *net_; }
+  [[nodiscard]] fleet::FleetRuntime& runtime() { return rt_; }
+  [[nodiscard]] sim::Simulator& simulator() { return rt_.simulator(); }
+  [[nodiscard]] sim::Network& network() { return rt_.network(); }
   [[nodiscard]] cluster::ClusterDirectory& directory() { return *directory_; }
   [[nodiscard]] const IciConfig& config() const { return cfg_.ici; }
-  [[nodiscard]] metrics::Registry& metrics() { return metrics_; }
+  [[nodiscard]] metrics::Registry& metrics() { return rt_.metrics(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] IciNode& node(cluster::NodeId id) { return nodes_.at(id); }
   [[nodiscard]] const IciNode& node(cluster::NodeId id) const { return nodes_.at(id); }
-
-  /// The fleet-shared header table every node's BlockStore interns into.
-  [[nodiscard]] const std::shared_ptr<HeaderIndex>& header_index() const {
-    return header_index_;
-  }
-  /// Hot per-node storage scalars, contiguous by node id (see fleet_tally.h).
-  [[nodiscard]] FleetTally& fleet_tally() { return fleet_tally_; }
-  [[nodiscard]] const FleetTally& fleet_tally() const { return fleet_tally_; }
 
   /// Online storers responsible for a block within `cluster` (assignment
   /// over the full membership; offline assignees simply cannot serve).
@@ -162,20 +146,15 @@ class IciNetwork {
   [[nodiscard]] const std::vector<CommittedBlock>& committed() const { return committed_; }
 
   /// Called by heads when their cluster commits. Tracks per-block commit
-  /// coverage for dissemination latency measurements. During a parallel
-  /// shard window the record is buffered per lane and applied at the next
-  /// barrier in deterministic (at, key) order, so commit bookkeeping is
-  /// identical for every shard count.
-  void note_commit(std::size_t cluster, const Block& block);
-
-  /// Serve-side sync throttle, or nullptr when --sync-serve-rate is 0.
-  [[nodiscard]] sync::ServeThrottle* serve_throttle() { return serve_throttle_.get(); }
+  /// coverage for dissemination latency measurements, through the runtime's
+  /// deferred log (shard-count-invariant).
+  void note_commit(const Block& block);
 
   /// Sim time when all clusters had committed `hash` (0 if not yet).
   [[nodiscard]] sim::SimTime full_commit_time(const Hash256& hash) const;
 
   /// Per-node storage snapshot inputs (bodies + headers only).
-  [[nodiscard]] std::vector<const BlockStore*> stores() const;
+  [[nodiscard]] const std::vector<const BlockStore*>& stores() const { return rt_.stores(); }
 
   /// Fleet storage snapshot including erasure shards (what a node really
   /// persists). Prefer this over StorageMeter when coding may be on.
@@ -201,15 +180,6 @@ class IciNetwork {
     nodes_.at(id).set_fault(profile);
   }
 
-  /// Observer for online/offline flips from churn or fault injection, fired
-  /// after the directory updated and repair ran. Sync drivers use it to
-  /// abandon a crashed joiner's session and resume it on restart. Pass
-  /// nullptr to uninstall.
-  using StatusObserver = std::function<void(cluster::NodeId, bool online)>;
-  void set_status_observer(StatusObserver observer) {
-    status_observer_ = std::move(observer);
-  }
-
   // -- epoch reconfiguration ------------------------------------------------
   struct ReconfigReport {
     /// Nodes whose cluster assignment changed.
@@ -228,39 +198,19 @@ class IciNetwork {
   /// current clustering. Returns bytes freed. Run after migrations settle.
   std::uint64_t prune_unassigned();
 
-  /// The storage runtime (backend factory + on-disk root) for this network.
-  [[nodiscard]] const StoreRuntime& store_runtime() const { return *store_runtime_; }
-
  private:
-  void handle_churn_event(cluster::NodeId id, bool online);
-  void install_backend(IciNode& node, cluster::NodeId id);
+  void add_node(const cluster::NodeInfo& info);
   void repair_cluster_coded(std::size_t cluster);
-  void note_commit_now(const Hash256& hash, std::uint64_t height,
-                       std::size_t size_bytes, sim::SimTime at);
-  void flush_deferred_commits();
 
   IciNetworkConfig cfg_;
-  std::size_t shards_ = 1;  // resolved (cfg_.shards or the --shards default)
-  sim::Simulator sim_;
-  std::unique_ptr<sim::Network> net_;
+  fleet::FleetRuntime rt_;  // before nodes_: see fleet/runtime.h
   std::vector<cluster::NodeInfo> infos_;
   std::unique_ptr<cluster::ClusterDirectory> directory_;
   std::unique_ptr<cluster::BlockAssigner> assigner_;
   std::unique_ptr<cluster::BlockAssigner> shard_owner_assigner_;  // unweighted, r=1
-  // Shared immutable snapshot + SoA tallies must outlive the nodes bound to
-  // them (nodes_ is declared after both). The store runtime owns the on-disk
-  // root, so it too must outlive the nodes whose backends write under it.
-  std::shared_ptr<HeaderIndex> header_index_ = std::make_shared<HeaderIndex>();
-  FleetTally fleet_tally_;
-  std::unique_ptr<StoreRuntime> store_runtime_;
   ObjectArena<IciNode> nodes_;
-  std::unique_ptr<sim::ChurnModel> churn_;
-  // Declared after net_ so it uninstalls its network hook before the
-  // network dies.
-  std::unique_ptr<sim::FaultInjector> faults_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;
-  metrics::Registry metrics_;
 
   std::vector<CommittedBlock> committed_;
   std::unordered_map<Hash256, std::size_t, Hash256Hasher> committed_index_;
@@ -270,21 +220,9 @@ class IciNetwork {
     sim::SimTime fully_committed_at = 0;
   };
   std::unordered_map<Hash256, CommitProgress, Hash256Hasher> progress_;
-  /// Commits recorded inside a parallel shard window, buffered per lane and
-  /// flushed at the barrier sorted by (at, key).
-  struct DeferredCommit {
-    sim::SimTime at = 0;
-    std::uint64_t key = 0;
-    Hash256 hash;
-    std::uint64_t height = 0;
-    std::size_t size_bytes = 0;
-  };
-  std::vector<std::vector<DeferredCommit>> deferred_commits_;
-  std::unique_ptr<sync::ServeThrottle> serve_throttle_;
   std::uint64_t proposer_cursor_ = 0;
   bool genesis_done_ = false;
   std::uint64_t trace_clock_token_ = 0;
-  StatusObserver status_observer_;
 };
 
 }  // namespace ici::core

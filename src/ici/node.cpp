@@ -42,12 +42,13 @@ constexpr std::size_t kSliceVerifyGrain = 8;
 }  // namespace
 
 IciNode::IciNode(IciNetwork& ctx, NodeId id)
-    : ctx_(ctx), id_(id), key_(KeyPair::from_seed(0x1c1'0000ULL + id)),
-      store_(ctx.header_index()) {
+    : fleet::SyncPeer(ctx.runtime(), id),
+      ctx_(ctx), id_(id), key_(KeyPair::from_seed(0x1c1'0000ULL + id)),
+      store_(ctx.runtime().header_index()) {
   // Hot storage scalars live in the fleet's contiguous tally row for this
   // id; the stores write through it (fleet_tally.h).
-  store_.bind_tally(&ctx.fleet_tally(), id);
-  shard_store_.bind_tally(&ctx.fleet_tally(), id);
+  store_.bind_tally(&ctx.runtime().fleet_tally(), id);
+  shard_store_.bind_tally(&ctx.runtime().fleet_tally(), id);
 }
 
 void IciNode::seed_genesis(const Block& genesis, bool is_storer,
@@ -60,7 +61,7 @@ void IciNode::seed_genesis(const Block& genesis, bool is_storer,
   }
   if (shard != nullptr) shard_store_.put(h, *shard);
   const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-  auto& tally = ctx_.fleet_tally().slot(id_);
+  auto& tally = ctx_.runtime().fleet_tally().slot(id_);
   for (const Transaction& tx : genesis.txs()) {
     const Hash256& id = tx.txid();
     for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
@@ -81,7 +82,10 @@ void IciNode::index_tx(const Hash256& txid, const Hash256& block_hash, std::uint
 
 void IciNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (const auto* s = dynamic_cast<const sync::SyncMessage*>(msg.get())) {
-    handle_sync_message(from, *s);
+    // Coded peers advertise their shard inventory instead of bodies.
+    handle_sync_message(from, *s, store_,
+                        ctx_.coded() ? shard_store_.shard_count() : store_.block_count(),
+                        ctx_.coded());
     return;
   }
   const auto* m = dynamic_cast<const IciMessage*>(msg.get());
@@ -110,18 +114,6 @@ void IciNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
       break;
     case MsgKind::kBlockResponse:
       handle_block_response(from, static_cast<const BlockResponseMsg&>(*m));
-      break;
-    case MsgKind::kHeadersRequest:
-      handle_headers_request(from, static_cast<const HeadersRequestMsg&>(*m));
-      break;
-    case MsgKind::kInventoryRequest:
-      handle_inventory_request(from, static_cast<const InventoryRequestMsg&>(*m));
-      break;
-    case MsgKind::kHeadersResponse:
-      handle_headers_response(from, static_cast<const HeadersResponseMsg&>(*m));
-      break;
-    case MsgKind::kInventoryResponse:
-      // Only repair drivers consume these today; a node ignores strays.
       break;
     case MsgKind::kBlockShard:
       handle_block_shard(from, static_cast<const BlockShardMsg&>(*m));
@@ -511,7 +503,7 @@ void IciNode::commit_block(const Hash256& block_hash) {
   ctx_.metrics().distribution("commit.cluster_latency_us")
       .add(static_cast<double>(verify_elapsed));
   obs::TraceSink::global().record_sim("verify/commit", static_cast<double>(verify_elapsed));
-  ctx_.note_commit(my_cluster, block);
+  ctx_.note_commit(block);
   verifying_.erase(it);
 }
 
@@ -706,7 +698,7 @@ void IciNode::finish_slice(const Hash256& block_hash) {
 void IciNode::handle_commit(sim::NodeId from, const CommitMsg& msg) {
   (void)from;
   store_.put(StoredBlock::header_only(msg.header, msg.block_hash));
-  auto& tally = ctx_.fleet_tally().slot(id_);
+  auto& tally = ctx_.runtime().fleet_tally().slot(id_);
   for (const OutPoint& op : msg.spent) tally.utxo_entries -= shard_.erase(op);
   for (const auto& [op, out] : msg.created) {
     if (shard_.insert_or_assign(op, out).second) ++tally.utxo_entries;
@@ -1303,180 +1295,9 @@ void IciNode::locate_and_prove(const Hash256& txid, ProofCallback cb) {
   });
 }
 
-void IciNode::handle_headers_request(sim::NodeId from, const HeadersRequestMsg& msg) {
-  auto resp = std::make_shared<HeadersResponseMsg>();
-  for (std::uint64_t h = msg.from_height;; ++h) {
-    const auto header = store_.header_at(h);
-    if (!header) break;
-    resp->headers.push_back(*header);
-  }
-  ctx_.network().send(id_, from, std::move(resp));
-}
-
-void IciNode::start_bootstrap(sim::NodeId head, std::function<void(std::size_t)> on_done) {
-  if (bootstrap_) throw std::logic_error("bootstrap already running");
-  bootstrap_ = BootstrapState{};
-  bootstrap_->on_done = std::move(on_done);
-  bootstrap_->started = ctx_.simulator().now();
-  auto req = std::make_shared<HeadersRequestMsg>();
-  req->from_height = 0;
-  ctx_.network().send(id_, head, std::move(req));
-}
-
-void IciNode::handle_headers_response(sim::NodeId from, const HeadersResponseMsg& msg) {
-  (void)from;
-  if (!bootstrap_ || bootstrap_->headers_synced) return;
-  bootstrap_->headers_synced = true;
-  bootstrap_->headers_done = ctx_.simulator().now();
-  obs::TraceSink::global().record_sim(
-      "bootstrap/headers", static_cast<double>(bootstrap_->headers_done - bootstrap_->started));
-
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-  struct Wanted {
-    Hash256 hash;
-    std::uint64_t height = 0;
-    std::optional<std::uint32_t> shard_index;  // coded mode
-  };
-  std::vector<Wanted> wanted;
-  for (const BlockHeader& header : msg.headers) {
-    const Hash256 hash = header.hash();
-    store_.put(StoredBlock::header_only(header, hash));
-    // Under the membership that now includes this node, which bodies (or
-    // shards, in coded mode) fall to it?
-    if (ctx_.coded()) {
-      const std::vector<NodeId> holders =
-          ctx_.shard_holders(hash, header.height, my_cluster);
-      for (std::uint32_t i = 0; i < holders.size(); ++i) {
-        if (holders[i] == id_) {
-          wanted.push_back({hash, header.height, i});
-          break;
-        }
-      }
-    } else {
-      const std::vector<NodeId> storers =
-          ctx_.storers_of(hash, header.height, my_cluster, /*online_only=*/false);
-      if (std::find(storers.begin(), storers.end(), id_) != storers.end()) {
-        wanted.push_back({hash, header.height, std::nullopt});
-      }
-    }
-  }
-
-  if (wanted.empty()) {
-    auto done = std::move(bootstrap_->on_done);
-    obs::TraceSink::global().record_sim("bootstrap/fetch", 0.0);
-    bootstrap_.reset();
-    if (done) done(0);
-    return;
-  }
-  bootstrap_->outstanding = wanted.size();
-  const auto on_fetched = [this](const FetchResult& r) {
-    if (!bootstrap_) return;
-    if (r.block) {
-      ++bootstrap_->bodies_fetched;
-    } else {
-      ctx_.metrics().counter("bootstrap.fetch_failed").inc();
-    }
-    if (--bootstrap_->outstanding == 0) {
-      auto done = std::move(bootstrap_->on_done);
-      const std::size_t fetched = bootstrap_->bodies_fetched;
-      obs::TraceSink::global().record_sim(
-          "bootstrap/fetch",
-          static_cast<double>(ctx_.simulator().now() - bootstrap_->headers_done));
-      bootstrap_.reset();
-      if (done) done(fetched);
-    }
-  };
-  for (const Wanted& w : wanted) {
-    if (w.shard_index) {
-      // Coded: reconstruct once, keep only the assigned shard.
-      fetch_block_coded(w.hash, w.height, on_fetched, w.shard_index);
-    } else {
-      fetch_block(w.hash, w.height,
-                  [this, on_fetched, hash = w.hash](const FetchResult& r) {
-                    if (r.block) store_.put(HashedBlock(r.block, hash));
-                    on_fetched(r);
-                  });
-    }
-  }
-}
-
-void IciNode::handle_inventory_request(sim::NodeId from, const InventoryRequestMsg& msg) {
-  auto resp = std::make_shared<InventoryResponseMsg>();
-  for (const Hash256& h : msg.hashes) {
-    if (store_.has_block(h)) resp->held.push_back(h);
-  }
-  ctx_.network().send(id_, from, std::move(resp));
-}
-
 // ---------------------------------------------------------------------------
 // Streaming bulk-sync bootstrap (docs/BOOTSTRAP.md)
 // ---------------------------------------------------------------------------
-
-void IciNode::start_streaming_sync(const sync::SyncConfig& cfg,
-                                   sync::SyncCheckpoint* checkpoint,
-                                   std::vector<sim::NodeId> candidates,
-                                   std::function<void(const sync::SyncReport&)> on_done) {
-  const std::uint64_t session_id =
-      (static_cast<std::uint64_t>(id_) << 20) + (++sync_epoch_);
-  sync_session_ = sync::BulkPullSession::start(*this, cfg, checkpoint,
-                                               std::move(candidates), session_id,
-                                               std::move(on_done));
-}
-
-void IciNode::handle_sync_message(sim::NodeId from, const sync::SyncMessage& msg) {
-  switch (msg.sync_kind()) {
-    case sync::SyncMsgKind::kFrontierRequest: {
-      const auto& req = static_cast<const sync::FrontierRequestMsg&>(msg);
-      const std::uint64_t inventory =
-          ctx_.coded() ? shard_store_.shard_count() : store_.block_count();
-      send_sync_response(from,
-                         sync::serve_frontier(store_, req, inventory, ctx_.coded()));
-      break;
-    }
-    case sync::SyncMsgKind::kRangeRequest: {
-      const auto& req = static_cast<const sync::RangeRequestMsg&>(msg);
-      sync::ServedRange served = sync::serve_range(store_, req);
-      send_sync_response(from, std::move(served.msg), served.io_delay_us);
-      break;
-    }
-    case sync::SyncMsgKind::kFrontierResponse:
-    case sync::SyncMsgKind::kRangeResponse:
-      if (sync_session_) sync_session_->on_sync_message(from, msg);
-      break;
-  }
-}
-
-void IciNode::send_sync_response(sim::NodeId to, sim::MessagePtr msg,
-                                 std::uint64_t io_delay_us) {
-  std::uint64_t delay = io_delay_us;
-  sync::ServeThrottle* throttle = ctx_.serve_throttle();
-  if (throttle != nullptr) {
-    const std::uint64_t t =
-        throttle->delay_for(id_, to, msg->wire_size(), ctx_.simulator().now());
-    if (t > 0) ctx_.metrics().counter("sync.serve_throttled").inc();
-    delay += t;
-  }
-  if (delay > 0) {
-    // Deferred send runs in this node's own context, so the wire message
-    // departs once the store has read the bodies and the bucket has room —
-    // the peer just sees it later.
-    ctx_.simulator().after(delay, [this, to, msg = std::move(msg)] {
-      ctx_.network().send(id_, to, msg);
-    });
-    return;
-  }
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-sim::Simulator& IciNode::sync_simulator() { return ctx_.simulator(); }
-
-void IciNode::sync_send(sim::NodeId to, sim::MessagePtr msg) {
-  ctx_.network().send(id_, to, std::move(msg));
-}
-
-std::size_t IciNode::sync_message_overhead() const {
-  return ctx_.network().config().per_message_overhead;
-}
 
 bool IciNode::sync_coded() const { return ctx_.coded(); }
 

@@ -1,7 +1,7 @@
 #include "strategy/strategy.h"
 
+#include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "baseline/fullrep.h"
 #include "baseline/pruned.h"
@@ -14,9 +14,37 @@ namespace ici::core {
 
 namespace {
 
+// The calls every simulated strategy forwards to its network's fleet
+// runtime (fleet/runtime.h). Adapters point rt_ at their network's runtime.
+class SimulatedStrategy : public Strategy {
+ public:
+  void settle() override { rt_->settle(); }
+  void run_for(sim::SimTime us) override { rt_->run_for(us); }
+  void start_faults(const sim::FaultPlan& plan) override { rt_->start_faults(plan); }
+
+  [[nodiscard]] StorageSnapshot storage() const override {
+    return StorageMeter::snapshot(rt_->stores());
+  }
+
+  [[nodiscard]] StrategyTraffic traffic() const override {
+    const sim::NodeTraffic t = rt_->network().total_traffic();
+    return {t.bytes_sent, t.msgs_sent};
+  }
+  void reset_traffic() override { rt_->network().reset_traffic(); }
+
+  [[nodiscard]] metrics::Registry* metrics_registry() override { return &rt_->metrics(); }
+
+  [[nodiscard]] StoreCounters store_counters() const override {
+    return sum_store_counters(rt_->stores());
+  }
+
+ protected:
+  fleet::FleetRuntime* rt_ = nullptr;
+};
+
 // -- ICIStrategy --------------------------------------------------------------
 
-class IciStrategy final : public Strategy {
+class IciStrategy final : public SimulatedStrategy {
  public:
   explicit IciStrategy(const StrategyConfig& cfg) {
     IciNetworkConfig ncfg;
@@ -29,6 +57,7 @@ class IciStrategy final : public Strategy {
     ncfg.ici.cross_cluster_repair = cfg.cross_cluster_repair;
     ncfg.store = cfg.store;
     net_ = std::make_unique<IciNetwork>(ncfg);
+    rt_ = &net_->runtime();
   }
 
   [[nodiscard]] std::string_view name() const override { return "ici"; }
@@ -41,45 +70,16 @@ class IciStrategy final : public Strategy {
 
   void preload(const Chain& chain) override { net_->preload_chain(chain); }
 
-  void settle() override { net_->settle(); }
-  void run_for(sim::SimTime us) override { net_->run_for(us); }
-
-  void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
   void start_repair(sim::SimTime interval_us, sim::SimTime until_us) override {
     net_->start_repair_daemon(interval_us, until_us);
   }
 
-  [[nodiscard]] StorageSnapshot storage() const override {
-    return StorageMeter::snapshot(net_->stores());
-  }
-
-  [[nodiscard]] StrategyTraffic traffic() const override {
-    const sim::NodeTraffic t = net_->network().total_traffic();
-    return {t.bytes_sent, t.msgs_sent};
-  }
-  void reset_traffic() override { net_->network().reset_traffic(); }
-
   [[nodiscard]] double availability() const override { return net_->network_availability(); }
   [[nodiscard]] double cluster_availability() const override { return net_->availability(); }
 
-  [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
-
-  [[nodiscard]] StoreCounters store_counters() const override {
-    return sum_store_counters(net_->stores());
-  }
-
   [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
                                           const sync::SyncConfig& cfg) override {
-    const BootstrapReport r = Bootstrapper::join(*net_, coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
+    return Bootstrapper::join(*net_, coord, cfg);
   }
 
   std::optional<RetrievalStats> probe_retrieval(std::size_t count,
@@ -98,21 +98,13 @@ class IciStrategy final : public Strategy {
   std::unique_ptr<IciNetwork> net_;
 };
 
-// -- full replication ---------------------------------------------------------
+// -- full replication and RapidChain ------------------------------------------
 
-class FullRepStrategy final : public Strategy {
+// The two baselines share ingest, preload and join; they differ in who holds
+// a block, which is all availability() asks.
+template <typename Net>
+class BaselineStrategy : public SimulatedStrategy {
  public:
-  explicit FullRepStrategy(const StrategyConfig& cfg) {
-    baseline::FullRepConfig ncfg;
-    ncfg.node_count = cfg.node_count;
-    ncfg.validate = cfg.fullrep_validate;
-    ncfg.seed = cfg.topology_seed;
-    ncfg.store = cfg.store;
-    net_ = std::make_unique<baseline::FullRepNetwork>(ncfg);
-  }
-
-  [[nodiscard]] std::string_view name() const override { return "fullrep"; }
-
   void init(const Block& genesis) override {
     net_->init_with_genesis(genesis);
     committed_.push_back(genesis.hash());
@@ -130,25 +122,23 @@ class FullRepStrategy final : public Strategy {
     }
   }
 
-  void settle() override { net_->settle(); }
-  void run_for(sim::SimTime us) override { net_->run_for(us); }
-  void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
-  [[nodiscard]] StorageSnapshot storage() const override {
-    return StorageMeter::snapshot(net_->stores());
+  [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
+                                          const sync::SyncConfig& cfg) override {
+    return net_->bootstrap(coord, cfg);
   }
 
-  [[nodiscard]] StrategyTraffic traffic() const override {
-    const sim::NodeTraffic t = net_->network().total_traffic();
-    return {t.bytes_sent, t.msgs_sent};
+ protected:
+  explicit BaselineStrategy(std::unique_ptr<Net> net) : net_(std::move(net)) {
+    rt_ = &net_->runtime();
   }
-  void reset_traffic() override { net_->network().reset_traffic(); }
 
-  [[nodiscard]] double availability() const override {
+  /// Fraction of committed blocks some online node in `holders(hash)` stores.
+  template <typename Holders>
+  [[nodiscard]] double servable_fraction(Holders&& holders) const {
     if (committed_.empty()) return 1.0;
     std::size_t servable = 0;
     for (const Hash256& hash : committed_) {
-      for (sim::NodeId id = 0; id < net_->node_count(); ++id) {
+      for (sim::NodeId id : holders(hash)) {
         if (net_->network().online(id) && net_->node(id).store().has_block(hash)) {
           ++servable;
           break;
@@ -158,113 +148,54 @@ class FullRepStrategy final : public Strategy {
     return static_cast<double>(servable) / static_cast<double>(committed_.size());
   }
 
-  [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
-
-  [[nodiscard]] StoreCounters store_counters() const override {
-    return sum_store_counters(net_->stores());
-  }
-
-  [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
-                                          const sync::SyncConfig& cfg) override {
-    const auto r = net_->bootstrap(coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
-  }
-
- private:
-  std::unique_ptr<baseline::FullRepNetwork> net_;
+  std::unique_ptr<Net> net_;
   std::vector<Hash256> committed_;
 };
 
-// -- RapidChain ---------------------------------------------------------------
+baseline::FullRepConfig fullrep_config(const StrategyConfig& cfg) {
+  baseline::FullRepConfig ncfg;
+  ncfg.node_count = cfg.node_count;
+  ncfg.validate = cfg.fullrep_validate;
+  ncfg.seed = cfg.topology_seed;
+  ncfg.store = cfg.store;
+  return ncfg;
+}
 
-class RapidChainStrategy final : public Strategy {
+class FullRepStrategy final : public BaselineStrategy<baseline::FullRepNetwork> {
  public:
-  explicit RapidChainStrategy(const StrategyConfig& cfg) {
-    baseline::RapidChainConfig ncfg;
-    ncfg.node_count = cfg.node_count;
-    ncfg.committee_count = cfg.groups;
-    ncfg.seed = cfg.topology_seed;
-    ncfg.store = cfg.store;
-    net_ = std::make_unique<baseline::RapidChainNetwork>(ncfg);
+  explicit FullRepStrategy(const StrategyConfig& cfg)
+      : BaselineStrategy(std::make_unique<baseline::FullRepNetwork>(fullrep_config(cfg))) {}
+
+  [[nodiscard]] std::string_view name() const override { return "fullrep"; }
+
+  [[nodiscard]] double availability() const override {
+    std::vector<sim::NodeId> everyone(net_->node_count());
+    std::iota(everyone.begin(), everyone.end(), sim::NodeId{0});
+    return servable_fraction([&](const Hash256&) -> const auto& { return everyone; });
   }
+};
+
+baseline::RapidChainConfig rapidchain_config(const StrategyConfig& cfg) {
+  baseline::RapidChainConfig ncfg;
+  ncfg.node_count = cfg.node_count;
+  ncfg.committee_count = cfg.groups;
+  ncfg.seed = cfg.topology_seed;
+  ncfg.store = cfg.store;
+  return ncfg;
+}
+
+class RapidChainStrategy final : public BaselineStrategy<baseline::RapidChainNetwork> {
+ public:
+  explicit RapidChainStrategy(const StrategyConfig& cfg)
+      : BaselineStrategy(std::make_unique<baseline::RapidChainNetwork>(rapidchain_config(cfg))) {}
 
   [[nodiscard]] std::string_view name() const override { return "rapidchain"; }
 
-  void init(const Block& genesis) override {
-    net_->init_with_genesis(genesis);
-    committed_.push_back(genesis.hash());
-  }
-
-  sim::SimTime ingest(const Block& block) override {
-    committed_.push_back(block.hash());
-    return net_->disseminate_and_settle(block);
-  }
-
-  void preload(const Chain& chain) override {
-    net_->preload_chain(chain);
-    for (std::size_t h = 1; h < chain.blocks().size(); ++h) {
-      committed_.push_back(chain.blocks()[h].hash());
-    }
-  }
-
-  void settle() override { net_->settle(); }
-  void run_for(sim::SimTime us) override { net_->run_for(us); }
-  void start_faults(const sim::FaultPlan& plan) override { net_->start_faults(plan); }
-
-  [[nodiscard]] StorageSnapshot storage() const override {
-    return StorageMeter::snapshot(net_->stores());
-  }
-
-  [[nodiscard]] StrategyTraffic traffic() const override {
-    const sim::NodeTraffic t = net_->network().total_traffic();
-    return {t.bytes_sent, t.msgs_sent};
-  }
-  void reset_traffic() override { net_->network().reset_traffic(); }
-
   [[nodiscard]] double availability() const override {
-    if (committed_.empty()) return 1.0;
-    std::size_t servable = 0;
-    for (const Hash256& hash : committed_) {
-      const std::size_t c = net_->committee_of_block(hash);
-      for (sim::NodeId id : net_->committee_members(c)) {
-        if (net_->network().online(id) && net_->node(id).store().has_block(hash)) {
-          ++servable;
-          break;
-        }
-      }
-    }
-    return static_cast<double>(servable) / static_cast<double>(committed_.size());
+    return servable_fraction([this](const Hash256& hash) -> const auto& {
+      return net_->committee_members(net_->committee_of_block(hash));
+    });
   }
-
-  [[nodiscard]] metrics::Registry* metrics_registry() override { return &net_->metrics(); }
-
-  [[nodiscard]] StoreCounters store_counters() const override {
-    return sum_store_counters(net_->stores());
-  }
-
-  [[nodiscard]] JoinReport bootstrap_join(sim::Coord coord,
-                                          const sync::SyncConfig& cfg) override {
-    const auto r = net_->bootstrap(coord, cfg);
-    JoinReport out;
-    out.protocol = true;
-    out.complete = r.complete;
-    out.bytes_downloaded = r.bytes_downloaded;
-    out.elapsed_us = r.elapsed_us;
-    out.bodies_fetched = r.bodies_fetched;
-    out.sync = r.sync;
-    return out;
-  }
-
- private:
-  std::unique_ptr<baseline::RapidChainNetwork> net_;
-  std::vector<Hash256> committed_;
 };
 
 // -- pruned -------------------------------------------------------------------

@@ -21,12 +21,12 @@
 #include <vector>
 
 #include "chain/chain.h"
+#include "fleet/sync_peer.h"
 #include "ici/retrieval.h"
 #include "metrics/registry.h"
 #include "sim/faults.h"
 #include "storage/backend.h"
 #include "storage/storage_meter.h"
-#include "sync/checkpoint.h"
 
 namespace ici::core {
 
@@ -64,20 +64,10 @@ struct StrategyTraffic {
   std::uint64_t msgs_sent = 0;
 };
 
-/// Result of joining a fresh node through the strategy's bootstrap path.
-struct JoinReport {
-  /// True when the numbers come from the streaming bulk-sync protocol
-  /// (docs/BOOTSTRAP.md); false for closed-form accounting (pruned has no
-  /// simulated network, so its download cost is computed, not measured).
-  bool protocol = false;
-  bool complete = false;
-  std::uint64_t bytes_downloaded = 0;
-  sim::SimTime elapsed_us = 0;
-  std::size_t bodies_fetched = 0;
-  /// Protocol-level detail (per-peer attribution, retries, resume count).
-  /// Only meaningful when `protocol` is true.
-  sync::SyncReport sync;
-};
+/// Result of joining a fresh node through the strategy's bootstrap path;
+/// JoinReport::protocol is false for pruned's closed-form accounting (no
+/// simulated network, so its download cost is computed, not measured).
+using JoinReport = fleet::JoinReport;
 
 class Strategy {
  public:

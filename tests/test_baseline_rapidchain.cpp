@@ -40,6 +40,33 @@ TEST(RapidChain, CommitteesPartitionNodes) {
   EXPECT_EQ(total, 20u);
 }
 
+TEST(RapidChain, EmptyCommitteeStealKeepsNodesAndBlocksInStep) {
+  // At n=8, k=3 hash assignment leaves a committee empty and the constructor
+  // moves a node into it. The moved node must lead and store for its new
+  // committee, so every block lands on exactly its committee.
+  RapidChainNetwork net(make_config(8, 3));
+  for (std::size_t c = 0; c < 3; ++c) {
+    ASSERT_FALSE(net.committee_members(c).empty());
+    for (sim::NodeId id : net.committee_members(c)) EXPECT_EQ(net.node(id).committee(), c);
+  }
+
+  const Chain chain = make_chain(12);
+  net.init_with_genesis(chain.at_height(0));
+  // A one-member committee completes instantly (latency 0), so only the
+  // placement is checked.
+  for (std::uint64_t h = 1; h < chain.size(); ++h) (void)net.disseminate_and_settle(chain.at_height(h));
+  for (std::uint64_t h = 0; h < chain.size(); ++h) {
+    const Hash256 hash = chain.at_height(h).hash();
+    const auto& committee = net.committee_members(net.committee_of_block(hash));
+    const std::unordered_set<sim::NodeId> want(committee.begin(), committee.end());
+    std::unordered_set<sim::NodeId> holders;
+    for (sim::NodeId id = 0; id < net.node_count(); ++id) {
+      if (net.node(id).store().has_block(hash)) holders.insert(id);
+    }
+    EXPECT_EQ(holders, want) << "height " << h;
+  }
+}
+
 TEST(RapidChain, RejectsBadCommitteeCount) {
   EXPECT_THROW(RapidChainNetwork net(make_config(4, 0)), std::invalid_argument);
   EXPECT_THROW(RapidChainNetwork net(make_config(4, 5)), std::invalid_argument);

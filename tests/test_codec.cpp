@@ -149,28 +149,6 @@ TEST(Codec, BlockRequestResponse) {
   EXPECT_EQ(mb->block, nullptr);
 }
 
-TEST(Codec, Headers) {
-  HeadersRequestMsg req;
-  req.from_height = 12;
-  EXPECT_EQ(roundtrip(req)->from_height, 12u);
-
-  HeadersResponseMsg resp;
-  resp.headers = {sample_block()->header(), sample_block()->header()};
-  auto back = roundtrip(resp);
-  ASSERT_EQ(back->headers.size(), 2u);
-  EXPECT_EQ(back->headers[0].hash(), resp.headers[0].hash());
-}
-
-TEST(Codec, Inventory) {
-  InventoryRequestMsg req;
-  req.hashes = {Hash256::tagged("1", {}), Hash256::tagged("2", {})};
-  EXPECT_EQ(roundtrip(req)->hashes, req.hashes);
-
-  InventoryResponseMsg resp;
-  resp.held = {Hash256::tagged("1", {})};
-  EXPECT_EQ(roundtrip(resp)->held, resp.held);
-}
-
 TEST(Codec, Shards) {
   BlockShardMsg shard;
   shard.block_hash = Hash256::of({});
@@ -257,7 +235,7 @@ TEST(Codec, RejectsGarbage) {
   wire.resize(wire.size() - 10);
   EXPECT_THROW((void)decode_message(ByteSpan(wire.data(), wire.size())), DecodeError);
   // Trailing garbage.
-  Bytes padded = encode_message(HeadersRequestMsg{});
+  Bytes padded = encode_message(BlockRequestMsg{});
   padded.push_back(0);
   EXPECT_THROW((void)decode_message(ByteSpan(padded.data(), padded.size())), DecodeError);
 }
@@ -279,9 +257,9 @@ TEST(Codec, FuzzTruncationsNeverCrash) {
     corpus.push_back(encode_message(c));
   }
   {
-    HeadersResponseMsg h;
-    h.headers = {sample_block()->header()};
-    corpus.push_back(encode_message(h));
+    UtxoLookupMsg u;  // length-prefixed vector
+    u.outpoints = {{Hash256::of({}), 1}, {Hash256::of({}), 2}};
+    corpus.push_back(encode_message(u));
   }
 
   for (const Bytes& wire : corpus) {

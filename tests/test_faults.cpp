@@ -1,10 +1,12 @@
-// Fault injection (sim/faults.h): plan-spec parsing, bit-identical replay
-// from a seed, crash-window reconstruction invariants, and retrieval
-// retry-with-backoff under a lossy network. docs/FAULTS.md documents the
-// fault model these tests pin down.
+// Fault injection (sim/faults.h): random crash sessions, plan-spec parsing,
+// bit-identical replay from a seed, crash-window reconstruction invariants,
+// and retrieval retry-with-backoff under a lossy network. docs/FAULTS.md
+// documents the fault model these tests pin down.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/workload.h"
@@ -64,6 +66,53 @@ std::string fingerprint(Rig& rig) {
     os << name << '=' << counter.value() << '\n';
   }
   return os.str();
+}
+
+// -- random crash sessions (churn) ---------------------------------------------
+
+struct SilentNode : sim::INode {
+  void on_message(sim::NodeId, const sim::MessagePtr&) override {}
+};
+
+TEST(FaultSessions, OnlyCrashSetNodesEverFlip) {
+  sim::Simulator sim;
+  sim::Network net(sim, {});
+  SilentNode node;
+  std::vector<sim::NodeId> ids;
+  for (int i = 0; i < 50; ++i) ids.push_back(net.add_node(&node, {0, 0}));
+
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.crash_fraction = 0.5;
+  plan.mean_uptime_us = 1000;
+  plan.mean_downtime_us = 1000;
+  sim::FaultInjector faults(net, plan);
+  std::unordered_set<sim::NodeId> changed;
+  int downs = 0, ups = 0;
+  faults.start(ids, [&](sim::NodeId id, bool online) {
+    changed.insert(id);
+    (online ? ups : downs)++;
+  });
+  const std::vector<sim::NodeId>& crash_set = faults.crash_set();
+  EXPECT_GT(crash_set.size(), 10u);
+  EXPECT_LT(crash_set.size(), 40u);
+
+  sim.run_until(20'000);
+  EXPECT_GT(downs, 0);
+  EXPECT_GT(ups, 0);
+  for (sim::NodeId id : changed) {
+    EXPECT_NE(std::find(crash_set.begin(), crash_set.end(), id), crash_set.end());
+  }
+}
+
+TEST(FaultSessions, ZeroCrashFractionSelectsNobody) {
+  sim::Simulator sim;
+  sim::Network net(sim, {});
+  SilentNode node;
+  const std::vector<sim::NodeId> ids = {net.add_node(&node, {0, 0})};
+  sim::FaultInjector faults(net, sim::FaultPlan{});  // crash_fraction 0
+  faults.start(ids, nullptr);
+  EXPECT_TRUE(faults.crash_set().empty());
 }
 
 // -- plan spec ----------------------------------------------------------------

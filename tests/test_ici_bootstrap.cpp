@@ -29,7 +29,7 @@ struct PreloadedNet {
 
 TEST(Bootstrap, JoinerSyncsHeadersAndAssignedBodies) {
   PreloadedNet rig;
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {50, 50});
+  const fleet::JoinReport report = Bootstrapper::join(*rig.net, {50, 50});
   EXPECT_TRUE(report.complete);
 
   const IciNode& joiner = rig.net->node(report.joiner);
@@ -48,7 +48,7 @@ TEST(Bootstrap, JoinerSyncsHeadersAndAssignedBodies) {
 
 TEST(Bootstrap, DownloadsFractionOfChain) {
   PreloadedNet rig(20, 2, 20);
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {10, 10});
+  const fleet::JoinReport report = Bootstrapper::join(*rig.net, {10, 10});
   ASSERT_TRUE(report.complete);
   // A cluster of ~10 members: the joiner should download roughly 1/10 of the
   // ledger, far below the full chain a full-replication joiner pulls.
@@ -59,7 +59,7 @@ TEST(Bootstrap, DownloadsFractionOfChain) {
 
 TEST(Bootstrap, JoinerPicksNearestCluster) {
   PreloadedNet rig(30, 3, 4);
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {0, 0});
+  const fleet::JoinReport report = Bootstrapper::join(*rig.net, {0, 0});
   // The chosen cluster must be the arg-min of mean member distance.
   auto& dir = rig.net->directory();
   double chosen_mean = 0, best = 1e18;
@@ -85,7 +85,7 @@ TEST(Bootstrap, JoinerPicksNearestCluster) {
 
 TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
   PreloadedNet rig;
-  const BootstrapReport report = Bootstrapper::join(*rig.net, {50, 50});
+  const fleet::JoinReport report = Bootstrapper::join(*rig.net, {50, 50});
   ASSERT_TRUE(report.complete);
   ASSERT_GT(report.bodies_fetched, 0u);
 
@@ -121,8 +121,8 @@ TEST(Bootstrap, JoinerServesFetchesAfterJoin) {
 
 TEST(Bootstrap, MultipleJoinersSucceed) {
   PreloadedNet rig;
-  const BootstrapReport r1 = Bootstrapper::join(*rig.net, {20, 20});
-  const BootstrapReport r2 = Bootstrapper::join(*rig.net, {80, 80});
+  const fleet::JoinReport r1 = Bootstrapper::join(*rig.net, {20, 20});
+  const fleet::JoinReport r2 = Bootstrapper::join(*rig.net, {80, 80});
   EXPECT_TRUE(r1.complete);
   EXPECT_TRUE(r2.complete);
   EXPECT_NE(r1.joiner, r2.joiner);

@@ -225,7 +225,7 @@ TEST(CodedMode, BootstrapFetchesOnlyAssignedShards) {
   net.init_with_genesis(chain.at_height(0));
   net.preload_chain(chain);
 
-  const BootstrapReport report = Bootstrapper::join(net, {50, 50});
+  const fleet::JoinReport report = Bootstrapper::join(net, {50, 50});
   EXPECT_TRUE(report.complete);
   EXPECT_EQ(net.node(report.joiner).store().header_count(), chain.size());
   // The joiner holds exactly one shard per block it is assigned to.

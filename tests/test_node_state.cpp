@@ -2,13 +2,17 @@
 // HeaderIndex, the SoA FleetTally, the ObjectArena node storage — and the
 // contract that the refactor is purely representational: deterministic sim
 // metrics must be bit-identical to the per-node-maps implementation it
-// replaced (goldens captured from that implementation at N=1000).
+// replaced (goldens captured from that implementation at N=1000). The
+// baseline goldens pin FullRep and RapidChain the same way.
 #include <gtest/gtest.h>
 
 #include "chain/workload.h"
 #include "common/arena.h"
+#include "baseline/fullrep.h"
+#include "baseline/rapidchain.h"
 #include "ici/network.h"
 #include "storage/fleet_tally.h"
+#include "storage/storage_meter.h"
 
 namespace ici {
 namespace {
@@ -36,15 +40,15 @@ TEST(HeaderIndexSharing, OneInternPerBlockAcrossTheFleet) {
   const auto net = preloaded_net(chain, 24, 3);
 
   // Every node knows every header, but the fleet interned each exactly once.
-  EXPECT_EQ(net->header_index()->size(), chain.size());
+  EXPECT_EQ(net->runtime().header_index()->size(), chain.size());
   for (std::size_t id = 0; id < net->node_count(); ++id) {
     const BlockStore& store = net->node(static_cast<cluster::NodeId>(id)).store();
     EXPECT_EQ(store.header_count(), chain.size());
     EXPECT_EQ(store.header_bytes(), chain.size() * BlockHeader::kWireSize);
     // All stores share the network's index object, not copies of it.
-    EXPECT_EQ(store.header_index().get(), net->header_index().get());
+    EXPECT_EQ(store.header_index().get(), net->runtime().header_index().get());
   }
-  EXPECT_EQ(net->header_index()->interned_bytes(),
+  EXPECT_EQ(net->runtime().header_index()->interned_bytes(),
             chain.size() * BlockHeader::kWireSize);
 }
 
@@ -70,7 +74,7 @@ TEST(FleetTallyTest, StoresWriteThroughTheSharedRows) {
   const Chain chain = small_chain(5, 3);
   const auto net = preloaded_net(chain, 16, 2);
 
-  const FleetTally& tally = net->fleet_tally();
+  const FleetTally& tally = net->runtime().fleet_tally();
   ASSERT_EQ(tally.size(), net->node_count());
   std::uint64_t tally_bodies = 0;
   std::uint64_t store_bodies = 0;
@@ -186,6 +190,72 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SimGolden>& info) {
       return "seed" + std::to_string(info.param.seed);
     });
+
+
+// -- baseline goldens ---------------------------------------------------------
+//
+// FullRep and RapidChain pinned the same way: a small live run at one shard
+// plus one bootstrap() join, with values captured before the three facades
+// moved onto one fleet::FleetRuntime. test_shard_determinism only compares
+// runs with each other, so a change that shifts a baseline alike at every
+// shard count would pass it; these catch that.
+struct BaselineGolden {
+  std::uint64_t events_executed;
+  std::uint64_t msgs_sent;
+  std::uint64_t bytes_sent;
+  std::vector<sim::SimTime> commit_latency_us;
+  std::uint64_t total_bytes;
+  std::uint64_t join_bytes_downloaded;
+  sim::SimTime join_elapsed_us;
+};
+
+template <typename Net>
+void expect_baseline_golden(Net& net, const BaselineGolden& g) {
+  ChainGenConfig ccfg;
+  ccfg.txs_per_block = 8;
+  ccfg.workload.seed = 5;
+  ccfg.workload.wallet_count = 32;
+  ChainGenerator gen(ccfg);
+  Block genesis = gen.workload().make_genesis();
+  gen.workload().confirm(genesis);
+  Chain chain(genesis);
+  net.init_with_genesis(genesis);
+  for (std::size_t b = 0; b < g.commit_latency_us.size(); ++b) {
+    chain.append(gen.next_block(chain));
+    EXPECT_EQ(net.disseminate_and_settle(chain.tip()), g.commit_latency_us[b]) << "block " << b;
+  }
+  const auto join = net.bootstrap({50, 50});
+  EXPECT_TRUE(join.complete);
+  EXPECT_EQ(join.bytes_downloaded, g.join_bytes_downloaded);
+  EXPECT_EQ(join.elapsed_us, g.join_elapsed_us);
+
+  const sim::NodeTraffic traffic = net.network().total_traffic();
+  EXPECT_EQ(net.metrics().counter_value("sim.events_executed"), g.events_executed);
+  EXPECT_EQ(traffic.msgs_sent, g.msgs_sent);
+  EXPECT_EQ(traffic.bytes_sent, g.bytes_sent);
+  EXPECT_EQ(StorageMeter::snapshot(net.stores()).total_bytes, g.total_bytes);
+}
+
+TEST(BaselineBitIdentity, FullRepMatchesGoldens) {
+  baseline::FullRepConfig cfg;
+  cfg.node_count = 48;
+  cfg.seed = 3;
+  cfg.shards = 1;
+  baseline::FullRepNetwork net(cfg);
+  expect_baseline_golden(net, {1485, 1485, 421'698, {345'542, 385'150, 326'536}, 558'600,
+                               12'233, 54'861});
+}
+
+TEST(BaselineBitIdentity, RapidChainMatchesGoldens) {
+  baseline::RapidChainConfig cfg;
+  cfg.node_count = 48;
+  cfg.committee_count = 4;
+  cfg.seed = 3;
+  cfg.shards = 1;
+  baseline::RapidChainNetwork net(cfg);
+  expect_baseline_golden(net, {927, 927, 244'839, {188'445, 276'379, 421'308}, 163'440, 8'177,
+                               91'250});
+}
 
 }  // namespace
 }  // namespace ici

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "sim/churn.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -269,54 +268,6 @@ TEST_F(NetworkTest, MulticastMatchesSendLoopExactly) {
 TEST(Distance, Euclidean) {
   EXPECT_DOUBLE_EQ(distance({0, 0}, {3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(distance({1, 1}, {1, 1}), 0.0);
-}
-
-// -- churn -------------------------------------------------------------------
-
-TEST(Churn, TogglesSelectedNodes) {
-  Simulator sim;
-  NetworkConfig ncfg;
-  Network net(sim, ncfg);
-  Recorder r;
-  std::vector<NodeId> ids;
-  for (int i = 0; i < 50; ++i) ids.push_back(net.add_node(&r, {0, 0}));
-
-  ChurnConfig cfg;
-  cfg.churn_fraction = 0.5;
-  cfg.mean_uptime_us = 1000;
-  cfg.mean_downtime_us = 1000;
-  cfg.seed = 3;
-  ChurnModel churn(net, cfg);
-
-  std::unordered_set<NodeId> changed;
-  int downs = 0, ups = 0;
-  churn.start(ids, [&](NodeId id, bool online) {
-    changed.insert(id);
-    (online ? ups : downs)++;
-  });
-  EXPECT_GT(churn.churned_nodes().size(), 10u);
-  EXPECT_LT(churn.churned_nodes().size(), 40u);
-
-  sim.run_until(20'000);
-  EXPECT_GT(downs, 0);
-  EXPECT_GT(ups, 0);
-  // Only churned nodes ever change.
-  for (NodeId id : changed) {
-    EXPECT_NE(std::find(churn.churned_nodes().begin(), churn.churned_nodes().end(), id),
-              churn.churned_nodes().end());
-  }
-}
-
-TEST(Churn, ZeroFractionChurnsNobody) {
-  Simulator sim;
-  Network net(sim, {});
-  Recorder r;
-  std::vector<NodeId> ids = {net.add_node(&r, {0, 0})};
-  ChurnConfig cfg;
-  cfg.churn_fraction = 0.0;
-  ChurnModel churn(net, cfg);
-  churn.start(ids, nullptr);
-  EXPECT_TRUE(churn.churned_nodes().empty());
 }
 
 }  // namespace

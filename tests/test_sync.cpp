@@ -50,7 +50,7 @@ struct FullRepRig {
 // order (the determinism contract of docs/BOOTSTRAP.md).
 TEST(Sync, BitIdenticalReruns) {
   const Chain chain = make_test_chain(16);
-  core::BootstrapReport a, b;
+  fleet::JoinReport a, b;
   {
     IciRig rig(chain);
     a = core::Bootstrapper::join(*rig.net, {50, 50});

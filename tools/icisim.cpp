@@ -86,8 +86,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool faults = fault_plan.enabled();
-
   const std::uint64_t seed = opts.seed;
+
+  // --churn is a FaultPlan crash session (the plan's up/down means, 10 min /
+  // 1 min unless --fault-plan sets up_s/down_s), seeded by --seed when no
+  // plan is given.
+  if (churn) {
+    if (fault_plan.crash_fraction > 0.0) {
+      std::cerr << "error: --churn and a crash= fault plan both schedule crash sessions\n";
+      return 2;
+    }
+    if (!faults) fault_plan.seed = seed;
+    fault_plan.crash_fraction = churn_fraction;
+  }
+
   const bool smoke = opts.smoke;
   if (smoke) {
     nodes = 24;
@@ -160,18 +172,12 @@ int main(int argc, char** argv) {
     if (t > 0) commit_latency.add(static_cast<double>(t));
   }
 
-  // Faults (like churn) start after dissemination: their recurring
+  // Faults (--churn included) start after dissemination: their recurring
   // crash/restart schedules keep the event queue populated forever, so the
   // run advances in bounded windows from here on (never settle()).
   RunningStat availability;
-  if (churn) {
-    sim::ChurnConfig ccfg;
-    ccfg.churn_fraction = churn_fraction;
-    ccfg.seed = seed;
-    network->start_churn(ccfg);
-  }
-  if (faults) network->start_faults(fault_plan);
   if (churn || faults) {
+    network->start_faults(fault_plan);
     for (std::uint64_t minute = 0; minute < minutes; ++minute) {
       network->run_for(60'000'000);
       availability.add(network->availability());
