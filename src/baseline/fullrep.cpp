@@ -190,11 +190,7 @@ void FullRepNetwork::note_stored(const Hash256& hash) {
     const auto it = spreads_.find(hash);
     if (it == spreads_.end()) return;
     it->second.holders += 1;
-    std::size_t online = 0;
-    for (sim::NodeId i = 0; i < nodes_.size(); ++i) {
-      if (rt_.network().online(i)) ++online;
-    }
-    if (it->second.holders >= online) it->second.finished = at;
+    if (it->second.holders >= rt_.network().online_count()) it->second.finished = at;
   });
 }
 

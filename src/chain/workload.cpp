@@ -1,6 +1,7 @@
 #include "chain/workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -95,6 +96,7 @@ TrafficGenerator::TrafficGenerator(TrafficConfig cfg) : cfg_(cfg), rng_(cfg.seed
   users_.reserve(cfg_.user_count);
   by_pub_.reserve(cfg_.user_count);
   spendable_.resize(cfg_.user_count);
+  funded_.resize((cfg_.user_count + 63) / 64);
   for (std::size_t i = 0; i < cfg_.user_count; ++i) {
     users_.push_back(KeyPair::from_seed(cfg_.seed * 6'700'417 + i));
     by_pub_.emplace(users_.back().pub, static_cast<std::uint32_t>(i));
@@ -147,15 +149,28 @@ bool TrafficGenerator::pick_payer(std::size_t* out) {
       return true;
     }
   }
-  for (std::size_t step = 0; step < cfg_.user_count; ++step) {
-    const std::size_t u = (fallback_cursor_ + step) % cfg_.user_count;
-    if (!spendable_[u].empty()) {
-      fallback_cursor_ = (u + 1) % cfg_.user_count;
-      *out = u;
-      return true;
-    }
+  // The first funded account at or after the cursor, wrapping around.
+  std::size_t u = first_funded(fallback_cursor_);
+  if (u == cfg_.user_count) u = first_funded(0);
+  if (u == cfg_.user_count) return false;
+  fallback_cursor_ = (u + 1) % cfg_.user_count;
+  *out = u;
+  return true;
+}
+
+std::size_t TrafficGenerator::first_funded(std::size_t begin) const {
+  std::size_t w = begin / 64;
+  std::uint64_t bits = funded_[w] & (~std::uint64_t{0} << (begin % 64));
+  while (bits == 0) {
+    if (++w == funded_.size()) return cfg_.user_count;
+    bits = funded_[w];
   }
-  return false;
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+void TrafficGenerator::credit(std::uint32_t user, const Spendable& sp) {
+  spendable_[user].push_back(sp);
+  funded_[user / 64] |= std::uint64_t{1} << (user % 64);
 }
 
 TrafficArrival TrafficGenerator::make_arrival(std::uint64_t at_us) {
@@ -166,6 +181,7 @@ TrafficArrival TrafficGenerator::make_arrival(std::uint64_t at_us) {
   }
   const Spendable sp = spendable_[payer].back();
   spendable_[payer].pop_back();
+  if (spendable_[payer].empty()) funded_[payer / 64] &= ~(std::uint64_t{1} << (payer % 64));
   pending_.emplace(sp.op, Pending{static_cast<std::uint32_t>(payer), sp.value});
 
   Amount fee = cfg_.fee_max > 0 ? rng_.range(cfg_.fee_min, cfg_.fee_max) : 0;
@@ -234,7 +250,7 @@ void TrafficGenerator::confirm(const Block& block) {
       const TxOutput& out = tx.outputs()[i];
       const auto it = by_pub_.find(out.recipient);
       if (it == by_pub_.end()) continue;  // e.g. the coinbase miner
-      spendable_[it->second].push_back({OutPoint{id, i}, out.value});
+      credit(it->second, {OutPoint{id, i}, out.value});
     }
   }
 }
@@ -243,7 +259,7 @@ void TrafficGenerator::release(const Transaction& tx) {
   for (const TxInput& in : tx.inputs()) {
     const auto it = pending_.find(in.prevout);
     if (it == pending_.end()) continue;
-    spendable_[it->second.user].push_back({in.prevout, it->second.value});
+    credit(it->second.user, {in.prevout, it->second.value});
     pending_.erase(it);
   }
 }

@@ -169,8 +169,11 @@ class TrafficGenerator {
 
   /// Zipf-weighted account index (inverse-CDF over the popularity table).
   [[nodiscard]] std::size_t pick_account();
-  /// A funded payer: Zipf draws with a deterministic linear-scan fallback.
+  /// A funded payer: Zipf draws with a deterministic round-robin fallback.
   [[nodiscard]] bool pick_payer(std::size_t* out);
+  /// Lowest funded user >= `begin`, or user_count when there is none.
+  [[nodiscard]] std::size_t first_funded(std::size_t begin) const;
+  void credit(std::uint32_t user, const Spendable& sp);
   [[nodiscard]] TrafficArrival make_arrival(std::uint64_t at_us);
 
   TrafficConfig cfg_;
@@ -179,6 +182,8 @@ class TrafficGenerator {
   std::unordered_map<PublicKey, std::uint32_t, PubHasher> by_pub_;
   /// Per-user spendable outputs (LIFO within a user).
   std::vector<std::vector<Spendable>> spendable_;
+  /// One bit per user, set iff spendable_[user] is non-empty.
+  std::vector<std::uint64_t> funded_;
   /// Outputs locked by in-flight txs, keyed by spent outpoint.
   std::unordered_map<OutPoint, Pending, OutPointHasher> pending_;
   /// Cumulative Zipf weights; empty when zipf_s == 0 (uniform).

@@ -1,6 +1,7 @@
 #include "crypto/hash.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/hex.h"
@@ -11,11 +12,21 @@ Hash256 Hash256::of(ByteSpan data) { return Hash256(Sha256::hash(data)); }
 
 Hash256 Hash256::of2(ByteSpan data) { return Hash256(Sha256::hash2(data)); }
 
-Hash256 Hash256::tagged(const std::string& tag, ByteSpan data) {
-  Sha256 h;
+Hash256 Hash256::tagged(std::string_view tag, ByteSpan data) {
   const std::uint8_t len = static_cast<std::uint8_t>(tag.size());
+  const std::size_t total = 1 + tag.size() + data.size();
+  if (total <= Sha256::kOneBlockMax) {
+    // Gathered into one buffer, the message takes Sha256::hash's
+    // one-compression path.
+    std::uint8_t msg[Sha256::kOneBlockMax];
+    msg[0] = len;
+    if (!tag.empty()) std::memcpy(msg + 1, tag.data(), tag.size());
+    if (!data.empty()) std::memcpy(msg + 1 + tag.size(), data.data(), data.size());
+    return Hash256(Sha256::hash(ByteSpan(msg, total)));
+  }
+  Sha256 h;
   h.update(ByteSpan(&len, 1));
-  h.update(tag);
+  h.update(ByteSpan(reinterpret_cast<const std::uint8_t*>(tag.data()), tag.size()));
   h.update(data);
   return Hash256(h.final());
 }
@@ -35,11 +46,5 @@ bool Hash256::is_zero() const {
 std::string Hash256::hex() const { return to_hex(span()); }
 
 std::string Hash256::short_hex() const { return hex().substr(0, 8); }
-
-std::uint64_t Hash256::low64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace ici

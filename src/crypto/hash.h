@@ -5,8 +5,10 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "crypto/sha256.h"
@@ -24,7 +26,9 @@ class Hash256 {
   [[nodiscard]] static Hash256 of2(ByteSpan data);
   /// Domain-separated hash: SHA-256(tag_len || tag || data). Prevents
   /// cross-protocol collisions between e.g. rendezvous weights and txids.
-  [[nodiscard]] static Hash256 tagged(const std::string& tag, ByteSpan data);
+  /// Inputs of at most Sha256::kOneBlockMax bytes in all take one
+  /// compression.
+  [[nodiscard]] static Hash256 tagged(std::string_view tag, ByteSpan data);
   /// Parses a 64-char hex string.
   [[nodiscard]] static Hash256 from_hex(const std::string& hex);
 
@@ -37,7 +41,14 @@ class Hash256 {
 
   /// First 8 bytes interpreted little-endian — handy as a deterministic
   /// pseudo-random 64-bit value derived from the hash.
-  [[nodiscard]] std::uint64_t low64() const;
+  [[nodiscard]] std::uint64_t low64() const {
+    std::uint64_t v;
+    std::memcpy(&v, data_.data(), 8);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
+  }
 
   auto operator<=>(const Hash256&) const = default;
 

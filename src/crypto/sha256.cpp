@@ -9,18 +9,6 @@ namespace ici {
 
 namespace {
 
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2};
-
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 /// Big-endian 32-bit load: one aligned-agnostic memcpy plus a byteswap
@@ -36,9 +24,46 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
 #endif
 }
 
+inline void store_be32(std::uint8_t* p, std::uint32_t v) {
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ != __ORDER_BIG_ENDIAN__
+  v = __builtin_bswap32(v);
+#endif
+  std::memcpy(p, &v, 4);
+}
+
+/// Big-endian serialization of a finished state: the digest.
+Digest256 digest_of(const std::uint32_t* state) {
+  Digest256 out;
+  for (int i = 0; i < 8; ++i) store_be32(out.data() + i * 4, state[i]);
+  return out;
+}
+
+/// One padded block from the IV, through the selected tier.
+void hash_one_block(const std::uint8_t* block, Digest256* digest) {
+  std::array<std::uint32_t, 8> state = detail::kSha256Iv;
+  if (cpu::sha256_native()) {
+    detail::sha256_compress_shani(state.data(), block, 1);
+  } else {
+    detail::sha256_compress_scalar(state.data(), block, 1);
+  }
+  *digest = digest_of(state.data());
+}
+
 }  // namespace
 
 namespace detail {
+
+const std::uint32_t kSha256K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+    0xc67178f2};
 
 void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
                             std::size_t nblocks) {
@@ -57,7 +82,7 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
     for (int i = 0; i < 64; ++i) {
       const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
       const std::uint32_t ch = (e & f) ^ (~e & g);
-      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
       const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
       const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
       const std::uint32_t t2 = s0 + maj;
@@ -84,9 +109,7 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
 
 }  // namespace detail
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-             0x5be0cd19} {}
+Sha256::Sha256() : state_(detail::kSha256Iv) {}
 
 void Sha256::compress_blocks(const std::uint8_t* data, std::size_t nblocks) {
   if (nblocks == 0) return;
@@ -145,20 +168,40 @@ Digest256 Sha256::final() {
   update(ByteSpan(len_be, 8));
   finalized_ = true;
 
-  Digest256 out;
-  for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  return digest_of(state_.data());
 }
 
 Digest256 Sha256::hash(ByteSpan data) {
+  if (data.size() <= kOneBlockMax) {
+    std::uint8_t block[64];
+    if (!data.empty()) std::memcpy(block, data.data(), data.size());
+    pad_block(block, data.size());
+    Digest256 out;
+    hash_one_block(block, &out);
+    return out;
+  }
   Sha256 h;
   h.update(data);
   return h.final();
+}
+
+void Sha256::pad_block(std::uint8_t* block, std::size_t len) {
+  block[len] = 0x80;
+  std::memset(block + len + 1, 0, 61 - len);
+  // len <= 55, so the bit length fits the last two bytes of the 64-bit field.
+  block[62] = static_cast<std::uint8_t>(len >> 5);
+  block[63] = static_cast<std::uint8_t>(len << 3);
+}
+
+void Sha256::hash_blocks(const std::uint8_t* blocks, Digest256* digests, std::size_t n) {
+  std::size_t i = 0;
+  if (cpu::sha256_native()) {
+    for (; i + 2 <= n; i += 2) {
+      detail::sha256_2x1_shani(blocks + 64 * i, blocks + 64 * (i + 1), digests[i].data(),
+                               digests[i + 1].data());
+    }
+  }
+  for (; i < n; ++i) hash_one_block(blocks + 64 * i, &digests[i]);
 }
 
 Digest256 Sha256::hash2(ByteSpan data) {

@@ -5,10 +5,15 @@
 // reference: STATE0 holds {A,B,E,F}, STATE1 {C,D,G,H}, each round constant
 // pair baked into an immediate vector.
 //
+// sha256_2x1_shani runs the same rounds for two independent one-block
+// messages at once. A single block is one long chain of dependent
+// `sha256rnds2`, so the unit sits idle for most of each instruction's
+// latency; interleaving a second chain fills those slots.
+//
 // Dispatch (common/cpudispatch.h) only routes here when CPUID reports the
 // SHA extensions, so the target attribute never executes unsupported
 // instructions; builds for other architectures fall back to the scalar
-// reference so the symbol always resolves.
+// reference so the symbols always resolve.
 #include "crypto/sha256.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -202,15 +207,84 @@ __attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), STATE1);
 }
 
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_2x1_shani(
+    const std::uint8_t* block0, const std::uint8_t* block1, std::uint8_t* digest0,
+    std::uint8_t* digest1) {
+  constexpr int kLanes = 2;
+  const std::uint8_t* const in[kLanes] = {block0, block1};
+  std::uint8_t* const out[kLanes] = {digest0, digest1};
+  // Byte swap within each 32-bit word: big-endian message words in, and
+  // big-endian digest words out.
+  const __m128i BSWAP = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // H(0) already in the ABEF/CDGH lanes.
+  const auto iv = [](int i) { return static_cast<int>(kSha256Iv[i]); };
+  const __m128i IV_ABEF = _mm_set_epi32(iv(0), iv(1), iv(4), iv(5));
+  const __m128i IV_CDGH = _mm_set_epi32(iv(2), iv(3), iv(6), iv(7));
+
+  __m128i abef[kLanes], cdgh[kLanes], w[kLanes][4];
+  for (int l = 0; l < kLanes; ++l) {
+    abef[l] = IV_ABEF;
+    cdgh[l] = IV_CDGH;
+  }
+  // Quad q runs rounds 4q..4q+3 on message words W[4q..4q+3], kept in
+  // w[l][q % 4]. From q = 4 on, W[q] = msg2(msg1(W[q-4], W[q-3]) +
+  // alignr(W[q-1], W[q-2]), W[q-1]) — the schedule of the kernel above.
+#pragma GCC unroll 16
+  for (int q = 0; q < 16; ++q) {
+    const __m128i K = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * q]));
+#pragma GCC unroll 2
+    for (int l = 0; l < kLanes; ++l) {
+      __m128i& wq = w[l][q & 3];
+      if (q < 4) {
+        wq = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[l] + 16 * q)), BSWAP);
+      } else {
+        const __m128i prev = w[l][(q + 3) & 3];
+        wq = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(wq, w[l][(q + 1) & 3]),
+                          _mm_alignr_epi8(prev, w[l][(q + 2) & 3], 4)),
+            prev);
+      }
+      const __m128i MSG = _mm_add_epi32(wq, K);
+      cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], MSG);
+      abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(MSG, 0x0E));
+    }
+  }
+
+  for (int l = 0; l < kLanes; ++l) {
+    const __m128i STATE0 = _mm_add_epi32(abef[l], IV_ABEF);
+    const __m128i STATE1 = _mm_add_epi32(cdgh[l], IV_CDGH);
+    // Back to the FIPS word order, as in the kernel above, then to bytes.
+    const __m128i FEBA = _mm_shuffle_epi32(STATE0, 0x1B);
+    const __m128i DCHG = _mm_shuffle_epi32(STATE1, 0xB1);
+    const __m128i DCBA = _mm_blend_epi16(FEBA, DCHG, 0xF0);
+    const __m128i HGFE = _mm_alignr_epi8(DCHG, FEBA, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out[l]), _mm_shuffle_epi8(DCBA, BSWAP));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out[l] + 16), _mm_shuffle_epi8(HGFE, BSWAP));
+  }
+}
+
 }  // namespace ici::detail
 
-#else  // non-x86: keep the symbol, defer to the scalar reference.
+#else  // non-x86: keep the symbols, defer to the scalar reference.
 
 namespace ici::detail {
 
 void sha256_compress_shani(std::uint32_t* state, const std::uint8_t* data,
                            std::size_t nblocks) {
   sha256_compress_scalar(state, data, nblocks);
+}
+
+void sha256_2x1_shani(const std::uint8_t* block0, const std::uint8_t* block1,
+                      std::uint8_t* digest0, std::uint8_t* digest1) {
+  const std::uint8_t* const in[2] = {block0, block1};
+  std::uint8_t* const out[2] = {digest0, digest1};
+  for (int l = 0; l < 2; ++l) {
+    std::array<std::uint32_t, 8> state = kSha256Iv;
+    sha256_compress_scalar(state.data(), in[l], 1);
+    for (int i = 0; i < 32; ++i)
+      out[l][i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
 }
 
 }  // namespace ici::detail

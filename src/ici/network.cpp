@@ -143,17 +143,6 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
   }
 
   for (std::size_t c = 0; c < directory_->cluster_count(); ++c) {
-    // One rendezvous pass per (cluster, outpoint) instead of one per
-    // (node, outpoint): every member then seeds via map lookups.
-    const std::vector<cluster::NodeInfo> members = directory_->member_infos(c);
-    IciNode::GenesisOwnerMap owners;
-    for (const Transaction& tx : genesis.txs()) {
-      for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
-        const OutPoint op{tx.txid(), i};
-        owners.emplace(
-            op, shard_owner_assigner_->storers(utxo_owner_key(op), 0, members, 1).front());
-      }
-    }
     if (coded()) {
       const std::vector<NodeId> holders = shard_holders(hash, 0, c);
       std::unordered_map<NodeId, const erasure::Shard*> shard_of;
@@ -163,13 +152,23 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
       for (NodeId id : directory_->members(c)) {
         const auto it = shard_of.find(id);
         nodes_[id].seed_genesis(genesis, /*is_storer=*/false,
-                                 it == shard_of.end() ? nullptr : it->second, &owners);
+                                 it == shard_of.end() ? nullptr : it->second);
       }
     } else {
       const std::vector<NodeId> storers = storers_of(hash, 0, c, /*online_only=*/false);
       for (NodeId id : directory_->members(c)) {
         const bool is_storer = std::find(storers.begin(), storers.end(), id) != storers.end();
-        nodes_[id].seed_genesis(genesis, is_storer, nullptr, &owners);
+        nodes_[id].seed_genesis(genesis, is_storer);
+      }
+    }
+    // One rendezvous per (cluster, outpoint); the output goes straight to
+    // its owner. Outputs go in genesis order, so each shard's insertion
+    // order — which its iteration order follows — is the genesis order of
+    // the outputs it owns.
+    for (const Transaction& tx : genesis.txs()) {
+      for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
+        const OutPoint op{tx.txid(), i};
+        nodes_[utxo_owner(op, c)].seed_genesis_output(op, tx.outputs()[i], hash);
       }
     }
   }

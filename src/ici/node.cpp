@@ -52,7 +52,7 @@ IciNode::IciNode(IciNetwork& ctx, NodeId id)
 }
 
 void IciNode::seed_genesis(const Block& genesis, bool is_storer,
-                           const erasure::Shard* shard, const GenesisOwnerMap* owners) {
+                           const erasure::Shard* shard) {
   const Hash256 h = genesis.hash();
   if (is_storer) {
     store_.put(HashedBlock(genesis, h));
@@ -60,20 +60,12 @@ void IciNode::seed_genesis(const Block& genesis, bool is_storer,
     store_.put(StoredBlock::header_only(genesis.header(), h));
   }
   if (shard != nullptr) shard_store_.put(h, *shard);
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-  auto& tally = ctx_.runtime().fleet_tally().slot(id_);
-  for (const Transaction& tx : genesis.txs()) {
-    const Hash256& id = tx.txid();
-    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
-      const OutPoint op{id, i};
-      const NodeId owner =
-          owners != nullptr ? owners->at(op) : ctx_.utxo_owner(op, my_cluster);
-      if (owner == id_) {
-        if (shard_.emplace(op, tx.outputs()[i]).second) ++tally.utxo_entries;
-        if (i == 0) tx_index_[id] = {h, 0};
-      }
-    }
-  }
+}
+
+void IciNode::seed_genesis_output(const OutPoint& op, const TxOutput& out,
+                                  const Hash256& genesis_hash) {
+  if (shard_.emplace(op, out).second) ++ctx_.runtime().fleet_tally().slot(id_).utxo_entries;
+  if (op.index == 0) tx_index_[op.txid] = {genesis_hash, 0};
 }
 
 void IciNode::index_tx(const Hash256& txid, const Hash256& block_hash, std::uint64_t height) {

@@ -96,19 +96,15 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
   using UtxoShard = std::unordered_map<OutPoint, TxOutput, OutPointHasher>;
   [[nodiscard]] const UtxoShard& utxo_shard() const { return shard_; }
 
-  /// Precomputed outpoint→owner table for one cluster's genesis seeding.
-  /// Computing it once per cluster (in IciNetwork::init_with_genesis)
-  /// replaces a rendezvous pass per (node, outpoint) pair — the difference
-  /// between ~51M and ~1e9 hashes when seeding a 100k-node fleet.
-  using GenesisOwnerMap = std::unordered_map<OutPoint, cluster::NodeId, OutPointHasher>;
-
-  /// Installs genesis state directly (no messages): header, body if this
-  /// node is a genesis storer (or `shard` in coded mode), and the owned
-  /// slice of genesis outputs. With `owners` the ownership lookup is a map
-  /// probe; without it the node falls back to per-outpoint rendezvous.
+  /// Installs genesis state directly (no messages): the header, and the
+  /// body if this node is a genesis storer (or `shard` in coded mode).
   void seed_genesis(const Block& genesis, bool is_storer,
-                    const erasure::Shard* shard = nullptr,
-                    const GenesisOwnerMap* owners = nullptr);
+                    const erasure::Shard* shard = nullptr);
+  /// Installs one genesis output this node owns by rendezvous, and its tx
+  /// location when it is output 0. IciNetwork::init_with_genesis computes
+  /// each owner once per cluster and calls this on the owner alone.
+  void seed_genesis_output(const OutPoint& op, const TxOutput& out,
+                           const Hash256& genesis_hash);
 
   [[nodiscard]] ShardStore& shards() { return shard_store_; }
   [[nodiscard]] const ShardStore& shards() const { return shard_store_; }

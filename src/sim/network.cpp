@@ -26,6 +26,7 @@ NodeId Network::add_node(INode* node, Coord coord, double uplink_bps) {
   // independent and replayable.
   slot.jitter_rng = ici::Rng(cfg_.seed ^ (0x9E3779B97F4A7C15ULL * (std::uint64_t{id} + 1)));
   nodes_.push_back(slot);
+  ++online_count_;
   if (faults_ != nullptr) faults_->ensure_nodes(nodes_.size());
   return id;
 }
@@ -37,6 +38,13 @@ void Network::rebind(NodeId id, INode* node) {
 
 void Network::set_online(NodeId id, bool online) {
   if (id >= nodes_.size()) throw std::out_of_range("Network::set_online");
+  if (nodes_[id].online != online) {
+    if (online) {
+      ++online_count_;
+    } else {
+      --online_count_;
+    }
+  }
   nodes_[id].online = online;
 }
 

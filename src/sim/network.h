@@ -89,6 +89,8 @@ class Network {
 
   void set_online(NodeId id, bool online);
   [[nodiscard]] bool online(NodeId id) const;
+  /// Number of registered nodes currently online.
+  [[nodiscard]] std::size_t online_count() const { return online_count_; }
 
   /// Sends msg from → to. Messages to offline nodes are charged to the
   /// sender and then dropped (the sender cannot know yet). Self-sends are
@@ -163,6 +165,7 @@ class Network {
   NetworkConfig cfg_;
   FaultInjector* faults_ = nullptr;
   std::vector<NodeSlot> nodes_;
+  std::size_t online_count_ = 0;
 };
 
 }  // namespace ici::sim

@@ -135,6 +135,42 @@ TEST(RoundRobin, CyclesWithHeight) {
   }
 }
 
+// Placement goldens, captured from the per-member tagged-hash
+// implementation before storers() hashed from a block template: a drift in
+// any weight, score or tie-break changes the digest. Ids are sparse and
+// large so every id byte of the hashed block varies; weighted runs use
+// four capacity classes.
+TEST(Rendezvous, PlacementMatchesGolden) {
+  ByteWriter placements;
+  for (const bool weighted : {false, true}) {
+    const RendezvousAssigner a(weighted);
+    for (const std::size_t m : {1, 2, 3, 17, 20, 33}) {
+      std::vector<NodeInfo> cluster;
+      for (std::size_t i = 0; i < m; ++i) {
+        const auto id = static_cast<NodeId>(0x01000193u * (i + 1) + 7 * i);
+        cluster.push_back({id, {0, 0}, 0.5 + 0.5 * static_cast<double>(i % 4)});
+      }
+      for (std::uint64_t key = 0; key < 8; ++key) {
+        for (const std::size_t r : {1, 3}) {
+          for (const NodeId id : a.storers(block(key * 1000 + 3), key, cluster, r)) {
+            placements.u32(id);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(placements.bytes().size(), 4u * 2 * 8 * (2 + 3 + 4 + 4 + 4 + 4));
+  EXPECT_EQ(Hash256::of(ByteSpan(placements.bytes().data(), placements.bytes().size())).hex(),
+            "94ebce281b56119c8fbd6f61934dd61bdb19542250fc6073ad81eaf346764eb1");
+}
+
+TEST(Rendezvous, WeightMatchesGolden) {
+  EXPECT_EQ(rendezvous_weight(block(0), 0), 0x1.620aa4959cb49p-3);
+  EXPECT_EQ(rendezvous_weight(block(1), 7), 0x1.a2e47c3ef48p-2);
+  EXPECT_EQ(rendezvous_weight(block(42), 0xdeadbeef), 0x1.1060699a4953cp-3);
+  EXPECT_EQ(rendezvous_weight(Hash256{}, 65536), 0x1.8c9172204d4p-1);
+}
+
 TEST(RoundRobin, ReplicasAreConsecutive) {
   RoundRobinAssigner rr;
   const auto s = rr.storers(block(1), 3, members(5), 3);

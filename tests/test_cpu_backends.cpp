@@ -7,8 +7,10 @@
 // trivially (but still correctly) satisfied.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/cpudispatch.h"
@@ -87,6 +89,56 @@ TEST_F(Sha256Backends, NativeMatchesKnownVector) {
   const Digest256 d = Sha256::hash(ByteSpan(abc.data(), abc.size()));
   EXPECT_EQ(to_hex(ByteSpan(d.data(), d.size())),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// Sha256::hash_blocks sends pairs through the two-lane SHA-NI kernel and
+// odd tails through the one-lane compress; every digest must equal the
+// one-shot hash of its message under either tier. Counts cover empty,
+// a lone block, one pair, a pair plus a tail, and longer mixed runs.
+TEST_F(Sha256Backends, BatchedOneBlockMatchesOneShot) {
+  Rng rng(0x5ba7c4);
+  for (const std::size_t n : {0, 1, 2, 3, 5, 20, 33}) {
+    std::vector<Bytes> messages;
+    Bytes blocks(64 * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      Bytes m(static_cast<std::size_t>((i * 23 + n * 7) % (Sha256::kOneBlockMax + 1)));
+      for (auto& b : m) b = static_cast<std::uint8_t>(rng.next());
+      std::copy(m.begin(), m.end(), blocks.begin() + static_cast<std::ptrdiff_t>(64 * i));
+      Sha256::pad_block(blocks.data() + 64 * i, m.size());
+      messages.push_back(std::move(m));
+    }
+    for (const auto backend : {cpu::Backend::kScalar, cpu::Backend::kNative}) {
+      cpu::set_backend(backend);
+      std::vector<Digest256> got(n);
+      Sha256::hash_blocks(blocks.data(), got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        Sha256 ref;
+        ref.update(ByteSpan(messages[i].data(), messages[i].size()));
+        EXPECT_EQ(got[i], ref.final())
+            << "n " << n << " block " << i << " length " << messages[i].size() << " backend "
+            << cpu::backend_name();
+        EXPECT_EQ(got[i], Sha256::hash(ByteSpan(messages[i].data(), messages[i].size())));
+      }
+    }
+  }
+}
+
+TEST_F(Sha256Backends, BatchedOneBlockKnownVectors) {
+  // FIPS 180-2 "abc" and the empty message, each in both lanes of a pair.
+  Bytes blocks(64 * 2);
+  const std::string abc = "abc";
+  std::copy(abc.begin(), abc.end(), blocks.begin());
+  Sha256::pad_block(blocks.data(), abc.size());
+  Sha256::pad_block(blocks.data() + 64, 0);
+  for (const auto backend : {cpu::Backend::kScalar, cpu::Backend::kNative}) {
+    cpu::set_backend(backend);
+    Digest256 got[2];
+    Sha256::hash_blocks(blocks.data(), got, 2);
+    EXPECT_EQ(to_hex(ByteSpan(got[0].data(), got[0].size())),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(to_hex(ByteSpan(got[1].data(), got[1].size())),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  }
 }
 
 TEST_F(Gf256Backends, MulAddRowAllCoefficients) {

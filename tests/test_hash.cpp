@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
 #include <unordered_set>
 
 namespace ici {
@@ -41,6 +43,51 @@ TEST(Hash256, TaggedIsDeterministic) {
   const Bytes data = {1};
   const ByteSpan span(data.data(), data.size());
   EXPECT_EQ(Hash256::tagged("t", span), Hash256::tagged("t", span));
+}
+
+// Streaming reference: the incremental update/final path, fed in pieces,
+// which never takes the one-compression shortcut.
+Digest256 streamed(std::initializer_list<ByteSpan> parts) {
+  Sha256 h;
+  for (const ByteSpan part : parts) {
+    for (std::size_t i = 0; i < part.size(); ++i) h.update(part.subspan(i, 1));
+  }
+  return h.final();
+}
+
+Bytes filler(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(i * 37 + 5);
+  return b;
+}
+
+TEST(Hash256, TaggedMatchesStreamingAcrossTheOneBlockBoundary) {
+  // 1 + tag + data straddles kOneBlockMax (55): one compression up to 55,
+  // the streaming path from 56 on.
+  const std::string tag = "ici/rendezvous";
+  for (const std::size_t total : {54, 55, 56, 57, 64, 65}) {
+    const Bytes data = filler(total - 1 - tag.size());
+    const std::uint8_t len = static_cast<std::uint8_t>(tag.size());
+    const Digest256 want =
+        streamed({ByteSpan(&len, 1),
+                  ByteSpan(reinterpret_cast<const std::uint8_t*>(tag.data()), tag.size()),
+                  ByteSpan(data.data(), data.size())});
+    EXPECT_EQ(Hash256::tagged(tag, ByteSpan(data.data(), data.size())), Hash256(want))
+        << "total " << total;
+  }
+}
+
+TEST(Hash256, TaggedEmptyTagAndData) {
+  const std::uint8_t zero = 0;
+  EXPECT_EQ(Hash256::tagged("", ByteSpan()), Hash256(streamed({ByteSpan(&zero, 1)})));
+}
+
+TEST(Sha256OneShot, MatchesStreamingForEveryShortLength) {
+  for (std::size_t n = 0; n <= 56; ++n) {
+    const Bytes data = filler(n);
+    const ByteSpan span(data.data(), data.size());
+    EXPECT_EQ(Sha256::hash(span), streamed({span})) << "length " << n;
+  }
 }
 
 TEST(Hash256, OrderingIsTotal) {

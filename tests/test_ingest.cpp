@@ -237,6 +237,39 @@ struct AcceptorRig {
   std::unique_ptr<ingest::TxAcceptor> acceptor;
 };
 
+// An overloaded generator drains its accounts, so most payers come from
+// the funded-account fallback and most slots are skipped. Goldens captured
+// from the linear-scan fallback: the bitmap search must pick the same payer
+// in the same order. A third of the txs is refunded and every other round
+// confirms the rest, so credits, refunds and spends all move the bitmap.
+TEST(TrafficGenerator, OverloadedPayerSequenceMatchesGolden) {
+  TrafficConfig cfg;
+  cfg.user_count = 200;  // not a multiple of 64: the last bitmap word is partial
+  cfg.tx_rate_tps = 20'000;
+  cfg.seed = 11;
+  TrafficGenerator gen(cfg);
+  gen.confirm(gen.make_genesis());
+  Sha256 txids;
+  std::size_t arrivals_seen = 0;
+  for (std::uint64_t round = 1; round <= 8; ++round) {
+    std::vector<Transaction> kept;
+    for (const TrafficArrival& a : gen.arrivals_until(round * 100'000)) {
+      txids.update(a.tx.txid().span());
+      if (arrivals_seen++ % 3 == 0) {
+        gen.release(a.tx);
+      } else {
+        kept.push_back(a.tx);
+      }
+    }
+    if (round % 2 == 0) gen.confirm(Block::assemble(Hash256{}, round, round, std::move(kept)));
+  }
+  EXPECT_EQ(Hash256(txids.final()).hex(),
+            "3c10df4478be56673166ed8119db48e41bdc5d23af6278992e986925c85c769d");
+  EXPECT_EQ(arrivals_seen, 1020u);
+  EXPECT_EQ(gen.generated(), 1020u);
+  EXPECT_EQ(gen.skipped_no_funds(), 15157u);
+}
+
 TEST(TxAcceptor, DedupsRepeatSubmissionsInWindow) {
   ingest::AcceptorConfig acfg;
   acfg.min_fee = 1;
