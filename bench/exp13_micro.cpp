@@ -211,9 +211,9 @@ BENCHMARK(BM_ReedSolomonReconstructWithErasures)->Arg(4096)->Arg(65536)->Arg(104
 // multicasts a fixed message to 32 recipients, recipients are sinks. At
 // --shards 1 (Arg 1) this measures the plain unsharded delivery path; with
 // 2 lanes (Arg 2) the driver sits alone on lane 0 and every recipient on
-// lane 1, so each fan-out executed inside a parallel window exercises the
-// DeliveryBatch lane-hoist: one mailbox lock per multicast instead of one
-// per recipient (Simulator::schedule_for_batched).
+// lane 1, so each fan-out executed inside a parallel window files one
+// parcel per recipient into lane 1's mailbox, one lock each. The row
+// keeps its name so BENCH_exp13_micro.json's row labels stay stable.
 struct FanoutMsg final : sim::MessageBase {
   [[nodiscard]] std::size_t wire_size() const override { return 256; }
   [[nodiscard]] const char* type_name() const override { return "fanout"; }
@@ -260,8 +260,8 @@ void BM_MulticastFanoutLaneHoist(benchmark::State& state) {
       net.add_node(&sinks[i], {static_cast<double>(i % 8), 0});
     }
     if (shards > 1) {
-      // Driver alone on lane 0; every recipient on lane 1 — the shape the
-      // batch hoist is built for (all parcels share one foreign mailbox).
+      // Driver alone on lane 0; every recipient on lane 1, so every
+      // delivery crosses into one foreign mailbox.
       simulator.set_node_lane(driver_id, 0);
       for (std::size_t i = 0; i < sinks.size(); ++i) {
         simulator.set_node_lane(static_cast<sim::NodeId>(driver_id + 1 + i), 1);

@@ -43,14 +43,8 @@ void FullRepNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
     if (BlockRef ref = store_.block_by_hash(get->hash)) {
       auto resp = std::make_shared<GossipBlockMsg>();
       resp->block = ref.share();
-      if (ref.io_delay_us > 0) {
-        // Cold read: the response leaves once the body is off the media.
-        ctx_.simulator().after(ref.io_delay_us, [this, from, resp = std::move(resp)] {
-          ctx_.network().send(id_, from, resp);
-        });
-        return;
-      }
-      ctx_.network().send(id_, from, std::move(resp));
+      // Cold read: the response leaves once the body is off the media.
+      send_after(from, std::move(resp), ref.io_delay_us);
     }
     return;
   }
@@ -123,7 +117,7 @@ FullRepNetwork::FullRepNetwork(FullRepConfig cfg)
   if (cfg_.node_count < 2) throw std::invalid_argument("FullRepNetwork: need >= 2 nodes");
 
   const auto infos =
-      cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
+      cluster::generate_topology(cfg_.node_count, cluster::kFleetRegions, cfg_.seed);
   rt_.reserve(infos.size());
   coords_.reserve(infos.size());
   for (const auto& info : infos) add_node(info.id, info.coord);

@@ -26,7 +26,6 @@ struct FullRepConfig {
   /// experiments at large N (saves the per-node UTXO copies).
   bool validate = true;
   sim::NetworkConfig net;
-  std::size_t regions = 5;
   std::uint64_t seed = 1;
   /// Event shards for the simulator; contiguous id ranges share a lane
   /// (there are no clusters here). 0 = sim::default_shards() (--shards).

@@ -120,7 +120,7 @@ RapidChainNetwork::RapidChainNetwork(RapidChainConfig cfg)
     throw std::invalid_argument("RapidChainNetwork: bad committee_count");
 
   const auto infos =
-      cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed, 100.0, false);
+      cluster::generate_topology(cfg_.node_count, cluster::kFleetRegions, cfg_.seed);
   // Committees are settled over the ids before any node exists, so every
   // node's committee() agrees with committee_members().
   std::vector<std::size_t> committee_of(infos.size());

@@ -37,7 +37,6 @@ struct RapidChainConfig {
   /// per member (IDA gossip's erasure redundancy, simplified).
   std::size_t gossip_degree = 2;
   sim::NetworkConfig net;
-  std::size_t regions = 5;
   std::uint64_t seed = 1;
   /// Event shards for the simulator; whole committees share a lane
   /// (committee % shards). 0 = sim::default_shards() (--shards).

@@ -23,13 +23,18 @@ struct NodeInfo {
   double capacity = 1.0;
 };
 
-/// Generates n nodes with coordinates from `clusters_hint` gaussian blobs
-/// (mimicking geographic regions) and capacities lognormal-ish around 1.
+/// Generates n nodes with coordinates from `regions` gaussian blobs
+/// (mimicking geographic regions) and, when `heterogeneous_capacity`,
+/// capacities lognormal-ish around 1 (otherwise every capacity is 1.0).
 /// Deterministic for a given seed — every experiment shares this topology
 /// generator.
 [[nodiscard]] std::vector<NodeInfo> generate_topology(std::size_t n, std::size_t regions,
                                                       std::uint64_t seed,
                                                       double world_size = 100.0,
                                                       bool heterogeneous_capacity = false);
+
+/// Regions in the topology every network facade (ICI and the baselines)
+/// generates; its nodes all have capacity 1.0.
+inline constexpr std::size_t kFleetRegions = 5;
 
 }  // namespace ici::cluster

@@ -44,10 +44,12 @@ void SyncPeer::send_sync_response(sim::NodeId to, sim::MessagePtr msg,
     if (t > 0) rt_.metrics().counter("sync.serve_throttled").inc();
     delay += t;
   }
-  if (delay > 0) {
-    // The deferred send runs in this node's own context: the peer just sees
-    // the response later.
-    rt_.simulator().after(delay, [this, to, msg = std::move(msg)] {
+  send_after(to, std::move(msg), delay);
+}
+
+void SyncPeer::send_after(sim::NodeId to, sim::MessagePtr msg, std::uint64_t delay_us) {
+  if (delay_us > 0) {
+    rt_.simulator().after(delay_us, [this, to, msg = std::move(msg)] {
       rt_.network().send(id_, to, msg);
     });
     return;

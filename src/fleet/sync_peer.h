@@ -52,6 +52,11 @@ class SyncPeer : private sync::BulkPullSession::Env {
                            const BlockStore& store, std::uint64_t inventory,
                            bool serves_shards = false);
 
+  /// Sends `msg` after `delay_us` of sim time — a cold read's media delay,
+  /// a throttle's wait — or at once when it is zero. The deferred send runs
+  /// in this node's own context: the peer just sees the answer later.
+  void send_after(sim::NodeId to, sim::MessagePtr msg, std::uint64_t delay_us);
+
  private:
   /// Sends a serve-side response once the store has read the bodies
   /// (`io_delay_us`) and the per-peer token bucket has room.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -29,16 +30,12 @@ IciNetwork::IciNetwork(IciNetworkConfig cfg)
   if (cfg_.node_count < cfg_.ici.cluster_count)
     throw std::invalid_argument("node_count must be >= cluster_count");
 
-  infos_ = cluster::generate_topology(cfg_.node_count, cfg_.regions, cfg_.seed,
-                                      /*world_size=*/100.0, cfg_.heterogeneous_capacity);
+  infos_ = cluster::generate_topology(cfg_.node_count, cluster::kFleetRegions, cfg_.seed);
 
   const auto clusterer = make_clusterer(cfg_.ici.clustering, cfg_.ici.seed);
   cluster::Clustering clustering = clusterer->cluster(infos_, cfg_.ici.cluster_count);
   directory_ = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
 
-  assigner_ =
-      std::make_unique<cluster::RendezvousAssigner>(cfg_.ici.capacity_weighted_assignment);
-  shard_owner_assigner_ = std::make_unique<cluster::RendezvousAssigner>(false);
   if (cfg_.ici.erasure_data > 0) {
     codec_ = std::make_unique<erasure::ReedSolomon>(cfg_.ici.erasure_data,
                                                     cfg_.ici.erasure_parity);
@@ -76,7 +73,7 @@ std::vector<NodeId> IciNetwork::storers_of(const Hash256& hash, std::uint64_t he
   // Stable assignment over the full membership; offline assignees are
   // filtered (not replaced) unless nobody is left, in which case assignment
   // falls back to the online members (emergency placement).
-  std::vector<NodeId> stable = assigner_->storers(
+  std::vector<NodeId> stable = assigner_.storers(
       hash, height, directory_->member_infos(cluster), cfg_.ici.replication);
   if (!online_only) return stable;
 
@@ -88,12 +85,12 @@ std::vector<NodeId> IciNetwork::storers_of(const Hash256& hash, std::uint64_t he
 
   const std::vector<cluster::NodeInfo> alive = directory_->online_members(cluster);
   if (alive.empty()) return {};
-  return assigner_->storers(hash, height, alive, cfg_.ici.replication);
+  return assigner_.storers(hash, height, alive, cfg_.ici.replication);
 }
 
 std::vector<NodeId> IciNetwork::fetch_candidates(const Hash256& hash, std::uint64_t height,
                                                  std::size_t cluster, NodeId exclude) const {
-  const std::vector<NodeId> ranked = assigner_->storers(
+  const std::vector<NodeId> ranked = assigner_.storers(
       hash, height, directory_->member_infos(cluster), cfg_.ici.replication + 2);
   std::vector<NodeId> out;
   for (NodeId id : ranked) {
@@ -126,9 +123,7 @@ Hash256 utxo_owner_key(const OutPoint& op) {
 }  // namespace
 
 NodeId IciNetwork::utxo_owner(const OutPoint& op, std::size_t cluster) const {
-  return shard_owner_assigner_
-      ->storers(utxo_owner_key(op), 0, directory_->member_infos(cluster), 1)
-      .front();
+  return assigner_.storers(utxo_owner_key(op), 0, directory_->member_infos(cluster), 1).front();
 }
 
 void IciNetwork::init_with_genesis(const Block& genesis) {
@@ -179,8 +174,8 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
 std::vector<NodeId> IciNetwork::shard_holders(const Hash256& hash, std::uint64_t height,
                                               std::size_t cluster) const {
   if (!coded()) throw std::logic_error("shard_holders: coding disabled");
-  return assigner_->storers(hash, height, directory_->member_infos(cluster),
-                            codec_->total_shards());
+  return assigner_.storers(hash, height, directory_->member_infos(cluster),
+                           codec_->total_shards());
 }
 
 void IciNetwork::disseminate(const Block& block) {
@@ -292,7 +287,7 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
   for (const CommittedBlock& b : committed_) ledger.push_back({b.hash, b.height});
 
   const cluster::RepairPlan plan = cluster::plan_repair(
-      ledger, alive, *assigner_, cfg_.ici.replication,
+      ledger, alive, assigner_, cfg_.ici.replication,
       [this](NodeId id, const Hash256& h) { return nodes_[id].store().has_block(h); });
 
   for (const cluster::RepairAction& action : plan.actions) {
@@ -320,7 +315,7 @@ void IciNetwork::repair_cluster(std::size_t cluster) {
       }
       if (source == cluster::kNoNode) continue;  // lost network-wide
       const std::vector<NodeId> want =
-          assigner_->storers(ref.hash, ref.height, alive, cfg_.ici.replication);
+          assigner_.storers(ref.hash, ref.height, alive, cfg_.ici.replication);
       if (want.empty()) continue;
       nodes_[want.front()].pull_from(source, ref.hash);
       rt_.metrics().counter("repair.cross_cluster_copies").inc();
@@ -364,7 +359,7 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
     }
     // Replacements: alive members beyond the holder list, rendezvous order.
     const std::vector<NodeId> ranked =
-        assigner_->storers(b.hash, b.height, alive_members, alive_members.size());
+        assigner_.storers(b.hash, b.height, alive_members, alive_members.size());
     std::size_t cursor = 0;
     for (std::uint32_t index : missing) {
       NodeId replacement = cluster::kNoNode;
@@ -382,75 +377,48 @@ void IciNetwork::repair_cluster_coded(std::size_t cluster) {
   }
 }
 
-double IciNetwork::availability() const {
-  if (committed_.empty()) return 1.0;
-  std::size_t available = 0;
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < directory_->cluster_count(); ++c) {
-    const auto& members = directory_->members(c);
-    for (const CommittedBlock& b : committed_) {
-      ++total;
-      if (coded()) {
-        // Coded: the cluster can serve the block iff ≥ d distinct shard
-        // indices live on online members.
-        std::vector<bool> seen(codec_->total_shards(), false);
-        std::size_t distinct = 0;
-        for (NodeId id : members) {
-          if (!directory_->online(id)) continue;
-          for (std::uint32_t index : nodes_[id].shards().indices(b.hash)) {
-            if (index < seen.size() && !seen[index]) {
-              seen[index] = true;
-              ++distinct;
-            }
-          }
-        }
-        if (distinct >= codec_->data_shards()) ++available;
-      } else {
-        for (NodeId id : members) {
-          if (directory_->online(id) && nodes_[id].store().has_block(b.hash)) {
-            ++available;
-            break;
-          }
-        }
+bool IciNetwork::servable(const Hash256& hash, const std::vector<NodeId>& holders) const {
+  if (!coded()) {
+    return std::any_of(holders.begin(), holders.end(), [&](NodeId id) {
+      return directory_->online(id) && nodes_[id].store().has_block(hash);
+    });
+  }
+  // Decodable iff ≥ d distinct shard indices are online among the holders
+  // (every cluster encodes the same payload with the same code).
+  std::vector<bool> seen(codec_->total_shards(), false);
+  std::size_t distinct = 0;
+  for (NodeId id : holders) {
+    if (!directory_->online(id)) continue;
+    for (std::uint32_t index : nodes_[id].shards().indices(hash)) {
+      if (index < seen.size() && !seen[index]) {
+        seen[index] = true;
+        if (++distinct >= codec_->data_shards()) return true;
       }
     }
   }
-  return total == 0 ? 1.0 : static_cast<double>(available) / static_cast<double>(total);
+  return false;
+}
+
+double IciNetwork::availability() const {
+  if (committed_.empty()) return 1.0;
+  std::size_t available = 0;
+  for (std::size_t c = 0; c < directory_->cluster_count(); ++c) {
+    for (const CommittedBlock& b : committed_) {
+      if (servable(b.hash, directory_->members(c))) ++available;
+    }
+  }
+  return static_cast<double>(available) /
+         static_cast<double>(directory_->cluster_count() * committed_.size());
 }
 
 double IciNetwork::network_availability() const {
   if (committed_.empty()) return 1.0;
-  std::size_t available = 0;
-  for (const CommittedBlock& b : committed_) {
-    bool servable = false;
-    if (coded()) {
-      // Decodable iff ≥ d distinct shard indices are online across the
-      // whole network (shard encodings are identical in every cluster).
-      std::vector<bool> seen(codec_->total_shards(), false);
-      std::size_t distinct = 0;
-      for (std::size_t id = 0; id < nodes_.size() && !servable; ++id) {
-        if (!directory_->online(static_cast<NodeId>(id))) continue;
-        for (std::uint32_t index : nodes_[id].shards().indices(b.hash)) {
-          if (index < seen.size() && !seen[index]) {
-            seen[index] = true;
-            if (++distinct >= codec_->data_shards()) {
-              servable = true;
-              break;
-            }
-          }
-        }
-      }
-    } else {
-      for (std::size_t id = 0; id < nodes_.size(); ++id) {
-        if (directory_->online(static_cast<NodeId>(id)) &&
-            nodes_[id].store().has_block(b.hash)) {
-          servable = true;
-          break;
-        }
-      }
-    }
-    if (servable) ++available;
-  }
+  std::vector<NodeId> everyone(nodes_.size());
+  std::iota(everyone.begin(), everyone.end(), NodeId{0});
+  const auto available = std::count_if(committed_.begin(), committed_.end(),
+                                       [&](const CommittedBlock& b) {
+                                         return servable(b.hash, everyone);
+                                       });
   return static_cast<double>(available) / static_cast<double>(committed_.size());
 }
 

@@ -29,9 +29,6 @@ struct IciNetworkConfig {
   std::size_t node_count = 64;
   IciConfig ici;
   sim::NetworkConfig net;
-  /// Geographic regions in the synthetic topology.
-  std::size_t regions = 5;
-  bool heterogeneous_capacity = false;
   std::uint64_t seed = 1;
   /// Event shards (parallel lanes) for the simulator; whole clusters map to
   /// one lane (cluster % shards). 0 means "use sim::default_shards()" (the
@@ -201,13 +198,18 @@ class IciNetwork {
  private:
   void add_node(const cluster::NodeInfo& info);
   void repair_cluster_coded(std::size_t cluster);
+  /// Whether the online nodes among `holders` can serve `hash`: one holds
+  /// the body, or (coded) they hold d distinct shard indices.
+  [[nodiscard]] bool servable(const Hash256& hash,
+                              const std::vector<cluster::NodeId>& holders) const;
 
   IciNetworkConfig cfg_;
   fleet::FleetRuntime rt_;  // before nodes_: see fleet/runtime.h
   std::vector<cluster::NodeInfo> infos_;
   std::unique_ptr<cluster::ClusterDirectory> directory_;
-  std::unique_ptr<cluster::BlockAssigner> assigner_;
-  std::unique_ptr<cluster::BlockAssigner> shard_owner_assigner_;  // unweighted, r=1
+  /// Places bodies, shards and UTXO-shard ownership. Fleet nodes all have
+  /// capacity 1.0, so capacity weighting would not move a single score.
+  cluster::RendezvousAssigner assigner_;
   ObjectArena<IciNode> nodes_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;

@@ -39,6 +39,18 @@ Bytes vote_payload(const Hash256& block_hash, bool approve, const Hash256& slice
 // microseconds while still splitting paper-sized slices across workers.
 constexpr std::size_t kSliceVerifyGrain = 8;
 
+// Protocol timeouts in sim time. A head stops waiting for votes after
+// kVerifyTimeoutUs and decides on those that arrived. A lookup round stops
+// waiting for silent owners after kLookupTimeoutUs and decides on what it
+// knows (a missing entry then counts as unknown, not invalid: the member
+// approves with a caveat, the head finds no fraud). A request moves to its
+// next candidate after kFetchTimeoutUs, multiplied by kFetchRetryBackoff on
+// every retry round.
+constexpr sim::SimTime kVerifyTimeoutUs = 30'000'000;
+constexpr sim::SimTime kLookupTimeoutUs = 5'000'000;
+constexpr sim::SimTime kFetchTimeoutUs = 10'000'000;
+constexpr double kFetchRetryBackoff = 2.0;
+
 }  // namespace
 
 IciNode::IciNode(IciNetwork& ctx, NodeId id)
@@ -84,7 +96,7 @@ void IciNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
   if (m == nullptr) return;  // foreign message type; not ours
   switch (m->kind()) {
     case MsgKind::kFullBlock:
-      handle_full_block(from, static_cast<const FullBlockMsg&>(*m));
+      handle_full_block(static_cast<const FullBlockMsg&>(*m));
       break;
     case MsgKind::kSlice:
       handle_slice(from, static_cast<const SliceMsg&>(*m));
@@ -93,40 +105,40 @@ void IciNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
       handle_utxo_lookup(from, static_cast<const UtxoLookupMsg&>(*m));
       break;
     case MsgKind::kUtxoResponse:
-      handle_utxo_response(from, static_cast<const UtxoResponseMsg&>(*m));
+      handle_utxo_response(static_cast<const UtxoResponseMsg&>(*m));
       break;
     case MsgKind::kVote:
       handle_vote(from, static_cast<const VoteMsg&>(*m));
       break;
     case MsgKind::kCommit:
-      handle_commit(from, static_cast<const CommitMsg&>(*m));
+      handle_commit(static_cast<const CommitMsg&>(*m));
       break;
     case MsgKind::kBlockRequest:
       handle_block_request(from, static_cast<const BlockRequestMsg&>(*m));
       break;
     case MsgKind::kBlockResponse:
-      handle_block_response(from, static_cast<const BlockResponseMsg&>(*m));
+      on_answer(static_cast<const BlockResponseMsg&>(*m).request_id, *m);
       break;
     case MsgKind::kBlockShard:
-      handle_block_shard(from, static_cast<const BlockShardMsg&>(*m));
+      handle_block_shard(static_cast<const BlockShardMsg&>(*m));
       break;
     case MsgKind::kShardRequest:
       handle_shard_request(from, static_cast<const ShardRequestMsg&>(*m));
       break;
     case MsgKind::kShardResponse:
-      handle_shard_response(from, static_cast<const ShardResponseMsg&>(*m));
+      handle_shard_response(static_cast<const ShardResponseMsg&>(*m));
       break;
     case MsgKind::kProofRequest:
       handle_proof_request(from, static_cast<const ProofRequestMsg&>(*m));
       break;
     case MsgKind::kProofResponse:
-      handle_proof_response(from, static_cast<const ProofResponseMsg&>(*m));
+      on_answer(static_cast<const ProofResponseMsg&>(*m).request_id, *m);
       break;
     case MsgKind::kTxLocateRequest:
       handle_tx_locate_request(from, static_cast<const TxLocateRequestMsg&>(*m));
       break;
     case MsgKind::kTxLocateResponse:
-      handle_tx_locate_response(from, static_cast<const TxLocateResponseMsg&>(*m));
+      on_answer(static_cast<const TxLocateResponseMsg&>(*m).request_id, *m);
       break;
   }
 }
@@ -153,8 +165,7 @@ void IciNode::propose(const Block& block) {
 // Head role
 // ---------------------------------------------------------------------------
 
-void IciNode::handle_full_block(sim::NodeId from, const FullBlockMsg& msg) {
-  (void)from;
+void IciNode::handle_full_block(const FullBlockMsg& msg) {
   if (msg.for_verification) {
     start_cluster_verification(msg.block);
   } else {
@@ -216,7 +227,7 @@ void IciNode::start_cluster_verification(std::shared_ptr<const Block> block) {
   }
   ctx_.metrics().counter("verify.rounds_started").inc();
 
-  ctx_.simulator().after(ctx_.config().verify_timeout_us, [this, hash] {
+  ctx_.simulator().after(kVerifyTimeoutUs, [this, hash] {
     const auto it = verifying_.find(hash);
     if (it == verifying_.end() || it->second.decided) return;
     PendingVerify& pv = it->second;
@@ -336,69 +347,31 @@ void IciNode::start_challenge(const Hash256& block_hash, const Hash256& txid) {
     return;
   }
 
-  PendingChallenge pc;
-  pc.block_hash = block_hash;
-  pc.tx = *tx;
-  std::unordered_map<NodeId, std::vector<OutPoint>> lookups;
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-  for (const TxInput& in : pc.tx.inputs()) {
-    const NodeId owner = ctx_.utxo_owner(in.prevout, my_cluster);
-    if (owner == id_) {
-      const auto found = shard_.find(in.prevout);
-      pc.resolved[in.prevout] =
-          found == shard_.end() ? std::nullopt : std::make_optional(found->second);
-    } else {
-      lookups[owner].push_back(in.prevout);
-      pc.resolved[in.prevout] = std::nullopt;
-      ++pc.outstanding_lookups;
-    }
-  }
+  PendingChallenge pc{block_hash, *tx, {}};
+  LookupAsks asks;
+  resolve_inputs(pc.tx, pc.lookups, asks);
+  const bool waiting = pc.lookups.outstanding > 0;
   pv_it->second.challenges_pending += 1;
   challenges_.emplace(key, std::move(pc));
+  send_lookups(key, asks);  // the challenge key is the lookup context
 
-  for (auto& [owner, ops] : lookups) {
-    auto lk = std::make_shared<UtxoLookupMsg>();
-    lk->block_hash = key;  // challenge context, echoed by the owner
-    lk->outpoints = std::move(ops);
-    ctx_.network().send(id_, owner, std::move(lk));
-  }
-
-  const auto it = challenges_.find(key);
-  if (it->second.outstanding_lookups == 0) {
+  if (!waiting) {
     finish_challenge(key);
-  } else {
-    ctx_.simulator().after(ctx_.config().lookup_timeout_us, [this, key] {
-      const auto pending = challenges_.find(key);
-      if (pending == challenges_.end() || pending->second.done) return;
-      pending->second.lookup_timeout = true;
-      finish_challenge(key);
-    });
+    return;
   }
+  ctx_.simulator().after(kLookupTimeoutUs, [this, key] {
+    const auto pending = challenges_.find(key);
+    if (pending == challenges_.end()) return;
+    pending->second.lookups.timed_out = true;
+    finish_challenge(key);
+  });
 }
 
 void IciNode::finish_challenge(const Hash256& challenge_key) {
   const auto it = challenges_.find(challenge_key);
-  if (it == challenges_.end() || it->second.done) return;
-  PendingChallenge& pc = it->second;
-  pc.done = true;
-
-  bool fraudulent = false;
-  Amount in_value = 0;
-  bool all_known = true;
-  for (const TxInput& in : pc.tx.inputs()) {
-    const auto& entry = pc.resolved.at(in.prevout);
-    if (!entry) {
-      // Unknown with all owners heard = the input really does not exist.
-      if (!pc.lookup_timeout) fraudulent = true;
-      all_known = false;
-      continue;
-    }
-    if (entry->recipient != in.pub) fraudulent = true;
-    in_value += entry->value;
-  }
-  if (all_known && pc.tx.total_output() > in_value) fraudulent = true;
-
-  const Hash256 block_hash = pc.block_hash;
+  if (it == challenges_.end()) return;
+  const bool fraudulent = !inputs_valid(it->second.tx, it->second.lookups);
+  const Hash256 block_hash = it->second.block_hash;
   challenges_.erase(it);
 
   const auto pv_it = verifying_.find(block_hash);
@@ -508,60 +481,88 @@ void IciNode::handle_slice(sim::NodeId from, const SliceMsg& msg) {
     ctx_.metrics().counter("fault.slices_dropped").inc();
     return;
   }
-  if (slices_.contains(msg.block_hash)) return;
+  const Hash256 hash = msg.block_hash;
+  if (slices_.contains(hash)) return;
 
-  PendingSlice ps;
-  ps.header = msg.header;
-  ps.block_hash = msg.block_hash;
-  ps.head = from;
-  ps.txs = msg.txs;
-  ps.received = ctx_.simulator().now();
-
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-
+  PendingSlice ps{from, msg.txs, {}, ctx_.simulator().now()};
   // Gather the UTXO lookups this slice needs (validity checks, including
   // the stateless ones, run per-tx in finish_slice so the first offender
   // can be named in a challenge).
-  std::unordered_map<NodeId, std::vector<OutPoint>> lookups;
+  LookupAsks asks;
   for (const Transaction& tx : ps.txs) {
-    if (tx.is_coinbase()) continue;
-    for (const TxInput& in : tx.inputs()) {
-      const NodeId owner = ctx_.utxo_owner(in.prevout, my_cluster);
-      if (owner == id_) {
-        const auto found = shard_.find(in.prevout);
-        ps.resolved[in.prevout] =
-            found == shard_.end() ? std::nullopt : std::make_optional(found->second);
-      } else {
-        lookups[owner].push_back(in.prevout);
-        ps.resolved[in.prevout] = std::nullopt;  // placeholder until response
-        ++ps.outstanding_lookups;
-      }
+    if (!tx.is_coinbase()) resolve_inputs(tx, ps.lookups, asks);
+  }
+  const bool waiting = ps.lookups.outstanding > 0;
+  slices_.emplace(hash, std::move(ps));
+  // counter() registers its name: an all-local slice must not add one.
+  if (!asks.empty()) ctx_.metrics().counter("lookup.requests").inc(asks.size());
+  send_lookups(hash, asks);
+
+  if (!waiting) {
+    finish_slice(hash);
+    return;
+  }
+  ctx_.simulator().after(kLookupTimeoutUs, [this, hash] {
+    const auto pending = slices_.find(hash);
+    if (pending == slices_.end()) return;
+    pending->second.lookups.timed_out = true;
+    ctx_.metrics().counter("lookup.timeouts").inc();
+    finish_slice(hash);
+  });
+}
+
+void IciNode::resolve_inputs(const Transaction& tx, LookupRound& round,
+                             LookupAsks& asks) const {
+  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
+  for (const TxInput& in : tx.inputs()) {
+    const NodeId owner = ctx_.utxo_owner(in.prevout, my_cluster);
+    if (owner == id_) {
+      const auto found = shard_.find(in.prevout);
+      round.resolved[in.prevout] =
+          found == shard_.end() ? std::nullopt : std::make_optional(found->second);
+    } else {
+      asks[owner].push_back(in.prevout);
+      round.resolved[in.prevout] = std::nullopt;  // placeholder until response
+      ++round.outstanding;
     }
   }
+}
 
-  const Hash256 hash = msg.block_hash;
-  slices_.emplace(hash, std::move(ps));
-
-  for (auto& [owner, ops] : lookups) {
+void IciNode::send_lookups(const Hash256& context, LookupAsks& asks) {
+  for (auto& [owner, ops] : asks) {
     auto lk = std::make_shared<UtxoLookupMsg>();
-    lk->block_hash = hash;
+    lk->block_hash = context;
     lk->outpoints = std::move(ops);
     ctx_.network().send(id_, owner, std::move(lk));
-    ctx_.metrics().counter("lookup.requests").inc();
   }
+}
 
-  const auto it = slices_.find(hash);
-  if (it->second.outstanding_lookups == 0) {
-    finish_slice(hash);
-  } else {
-    ctx_.simulator().after(ctx_.config().lookup_timeout_us, [this, hash] {
-      const auto pending = slices_.find(hash);
-      if (pending == slices_.end() || pending->second.done) return;
-      pending->second.any_lookup_failed = true;
-      ctx_.metrics().counter("lookup.timeouts").inc();
-      finish_slice(hash);
-    });
+bool IciNode::apply_lookups(LookupRound& round, const UtxoResponseMsg& msg) {
+  for (const UtxoResponseEntry& entry : msg.entries) {
+    const auto slot = round.resolved.find(entry.outpoint);
+    if (slot == round.resolved.end()) continue;
+    if (entry.exists) slot->second = entry.output;
+    if (round.outstanding > 0) --round.outstanding;
   }
+  return round.outstanding == 0;
+}
+
+bool IciNode::inputs_valid(const Transaction& tx, const LookupRound& round) {
+  Amount in_value = 0;
+  bool known = true;
+  for (const TxInput& in : tx.inputs()) {
+    const auto& entry = round.resolved.at(in.prevout);
+    if (!entry) {
+      // Missing: a double-spend or unknown outpoint when every owner
+      // answered, but possibly just unheard after a timeout.
+      if (!round.timed_out) return false;
+      known = false;
+      continue;
+    }
+    if (entry->recipient != in.pub) return false;
+    in_value += entry->value;
+  }
+  return !known || tx.total_output() <= in_value;
 }
 
 void IciNode::handle_utxo_lookup(sim::NodeId from, const UtxoLookupMsg& msg) {
@@ -581,39 +582,22 @@ void IciNode::handle_utxo_lookup(sim::NodeId from, const UtxoLookupMsg& msg) {
   ctx_.network().send(id_, from, std::move(resp));
 }
 
-void IciNode::handle_utxo_response(sim::NodeId from, const UtxoResponseMsg& msg) {
-  (void)from;
+void IciNode::handle_utxo_response(const UtxoResponseMsg& msg) {
   // The context key distinguishes slice verification from head-side
   // challenge checks (the owner just echoes it).
-  if (const auto it = slices_.find(msg.block_hash); it != slices_.end() && !it->second.done) {
-    PendingSlice& ps = it->second;
-    for (const UtxoResponseEntry& entry : msg.entries) {
-      const auto slot = ps.resolved.find(entry.outpoint);
-      if (slot == ps.resolved.end()) continue;
-      if (entry.exists) slot->second = entry.output;
-      if (ps.outstanding_lookups > 0) --ps.outstanding_lookups;
-    }
-    if (ps.outstanding_lookups == 0) finish_slice(msg.block_hash);
+  if (const auto it = slices_.find(msg.block_hash); it != slices_.end()) {
+    if (apply_lookups(it->second.lookups, msg)) finish_slice(msg.block_hash);
     return;
   }
-  if (const auto it = challenges_.find(msg.block_hash);
-      it != challenges_.end() && !it->second.done) {
-    PendingChallenge& pc = it->second;
-    for (const UtxoResponseEntry& entry : msg.entries) {
-      const auto slot = pc.resolved.find(entry.outpoint);
-      if (slot == pc.resolved.end()) continue;
-      if (entry.exists) slot->second = entry.output;
-      if (pc.outstanding_lookups > 0) --pc.outstanding_lookups;
-    }
-    if (pc.outstanding_lookups == 0) finish_challenge(msg.block_hash);
+  if (const auto it = challenges_.find(msg.block_hash); it != challenges_.end()) {
+    if (apply_lookups(it->second.lookups, msg)) finish_challenge(msg.block_hash);
   }
 }
 
 void IciNode::finish_slice(const Hash256& block_hash) {
   const auto it = slices_.find(block_hash);
-  if (it == slices_.end() || it->second.done) return;
-  PendingSlice& ps = it->second;
-  ps.done = true;
+  if (it == slices_.end()) return;
+  const PendingSlice& ps = it->second;
 
   // CPU cost of the tx checks is the wall span; the sim-time sample below
   // additionally covers the distributed lookup round-trips.
@@ -632,35 +616,20 @@ void IciNode::finish_slice(const Hash256& block_hash) {
       0, txs.size(), kSliceVerifyGrain, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const Transaction& tx = txs[i];
-          bool ok = static_cast<bool>(validator_.check_tx_stateless(tx));
-          if (ok && !tx.is_coinbase()) {
-            Amount in_value = 0;
-            bool known = true;
-            for (const TxInput& in : tx.inputs()) {
-              const auto& entry = ps.resolved.at(in.prevout);
-              if (!entry) {
-                // Missing: either a genuine double-spend/unknown outpoint
-                // or an owner that never answered. With timed-out lookups
-                // we vote approve-with-caveat (liveness bias, see
-                // IciConfig); with all owners heard, missing means invalid.
-                if (!ps.any_lookup_failed) ok = false;
-                known = false;
-                continue;
-              }
-              if (entry->recipient != in.pub) ok = false;
-              in_value += entry->value;
-            }
-            if (known && tx.total_output() > in_value) ok = false;
-          }
+          // After a lookup timeout an unheard entry passes: the member
+          // votes approve-with-caveat (liveness bias).
+          const bool ok = validator_.check_tx_stateless(tx) &&
+                          (tx.is_coinbase() || inputs_valid(tx, ps.lookups));
           tx_ok[i] = ok ? 1 : 0;
         }
       });
 
   bool approve = true;
+  std::optional<Hash256> offender;  // the challenge the head will re-verify
   for (std::size_t i = 0; i < txs.size(); ++i) {
     if (tx_ok[i] == 0) {
       approve = false;
-      ps.offender = txs[i].txid();  // the challenge the head will re-verify
+      offender = txs[i].txid();
       break;
     }
   }
@@ -669,7 +638,7 @@ void IciNode::finish_slice(const Hash256& block_hash) {
     // Byzantine rejection: flip the vote and (maximally annoying) fabricate
     // a challenge against a valid transaction — the head will disprove it.
     approve = false;
-    if (!ps.offender && !ps.txs.empty()) ps.offender = ps.txs.front().txid();
+    if (!offender && !ps.txs.empty()) offender = ps.txs.front().txid();
     ctx_.metrics().counter("fault.votes_flipped").inc();
   }
 
@@ -678,7 +647,7 @@ void IciNode::finish_slice(const Hash256& block_hash) {
   vote->block_hash = block_hash;
   vote->approve = approve;
   vote->slice_digest = digest;
-  if (!approve) vote->challenged_txid = ps.offender;
+  if (!approve) vote->challenged_txid = offender;
   vote->voter = key_.pub;
   const Bytes payload = vote_payload(block_hash, approve, digest, vote->challenged_txid);
   vote->sig = sign(key_, payload);
@@ -687,8 +656,7 @@ void IciNode::finish_slice(const Hash256& block_hash) {
   slices_.erase(it);
 }
 
-void IciNode::handle_commit(sim::NodeId from, const CommitMsg& msg) {
-  (void)from;
+void IciNode::handle_commit(const CommitMsg& msg) {
   store_.put(StoredBlock::header_only(msg.header, msg.block_hash));
   auto& tally = ctx_.runtime().fleet_tally().slot(id_);
   for (const OutPoint& op : msg.spent) tally.utxo_entries -= shard_.erase(op);
@@ -702,7 +670,7 @@ void IciNode::handle_commit(sim::NodeId from, const CommitMsg& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Server role + fetch machinery
+// Server role + request engine
 // ---------------------------------------------------------------------------
 
 void IciNode::handle_block_request(sim::NodeId from, const BlockRequestMsg& msg) {
@@ -721,62 +689,156 @@ void IciNode::handle_block_request(sim::NodeId from, const BlockRequestMsg& msg)
     resp->block = std::make_shared<const Block>(Block(resp->block->header(), std::move(txs)));
     ctx_.metrics().counter("fault.corrupt_serves").inc();
   }
-  if (ref.io_delay_us > 0) {
-    // Cold read: the response departs once the media delivers the bytes.
-    ctx_.simulator().after(ref.io_delay_us, [this, from, resp = std::move(resp)] {
-      ctx_.network().send(id_, from, resp);
-    });
-    return;
-  }
-  ctx_.network().send(id_, from, std::move(resp));
+  send_after(from, std::move(resp), ref.io_delay_us);  // a cold read answers late
 }
 
-void IciNode::handle_block_response(sim::NodeId from, const BlockResponseMsg& msg) {
-  (void)from;
-  const auto it = fetches_.find(msg.request_id);
-  if (it == fetches_.end() || it->second.done) return;
-  PendingFetch& pf = it->second;
-
-  if (msg.block && msg.block->hash() == pf.hash && msg.block->merkle_ok()) {
-    finish_fetch(msg.request_id, msg.block);
-    return;
-  }
-  // Miss or corrupt: fall through to the next candidate.
-  try_next_candidate(msg.request_id);
+void IciNode::start_request(PendingRequest request) {
+  const std::uint64_t rid = next_request_id_++;
+  request.started = ctx_.simulator().now();
+  request.timeout_us = kFetchTimeoutUs;
+  requests_.emplace(rid, std::move(request));
+  next_attempt(rid);
 }
 
-/// Single exit point for a replication-mode fetch: builds the FetchResult,
-/// updates the retrieval counters, and fires the callback exactly once.
-void IciNode::finish_fetch(std::uint64_t request_id, std::shared_ptr<const Block> block) {
-  const auto it = fetches_.find(request_id);
-  if (it == fetches_.end() || it->second.done) return;
-  PendingFetch& pf = it->second;
-  pf.done = true;
+void IciNode::next_attempt(std::uint64_t request_id) {
+  const auto it = requests_.find(request_id);
+  if (it == requests_.end()) return;
+  PendingRequest& req = it->second;
 
-  FetchResult result;
-  result.block = std::move(block);
-  result.elapsed_us = ctx_.simulator().now() - pf.started;
-  result.attempts = pf.attempts;
-  result.timeouts = pf.timeouts;
-  result.retry_rounds = pf.rounds_used;
+  if (req.next_candidate >= req.candidates.size()) {
+    if (req.rounds_left == 0 || req.candidates.empty()) {
+      finish_request(request_id, nullptr);
+      return;
+    }
+    // Retry-with-backoff: another full pass over the candidate list with a
+    // longer per-attempt timeout. Candidates that merely dropped our
+    // request or response (message faults) get a second chance.
+    --req.rounds_left;
+    ++req.rounds_used;
+    req.next_candidate = 0;
+    req.timeout_us = static_cast<sim::SimTime>(static_cast<double>(req.timeout_us) *
+                                               kFetchRetryBackoff);
+    ctx_.metrics().counter("retrieval.retry_rounds").inc();
+  }
+
+  const NodeId target = req.candidates[req.next_candidate++];
+  const std::uint32_t attempt = ++req.attempts;
+  sim::MessagePtr msg;
+  switch (req.answer) {
+    case MsgKind::kBlockResponse: {
+      auto block_req = std::make_shared<BlockRequestMsg>();
+      block_req->block_hash = req.block_hash;
+      block_req->request_id = request_id;
+      msg = std::move(block_req);
+      break;
+    }
+    case MsgKind::kProofResponse: {
+      auto proof_req = std::make_shared<ProofRequestMsg>();
+      proof_req->txid = req.txid;
+      proof_req->block_hash = req.block_hash;
+      proof_req->request_id = request_id;
+      msg = std::move(proof_req);
+      break;
+    }
+    default: {
+      auto locate_req = std::make_shared<TxLocateRequestMsg>();
+      locate_req->txid = req.txid;
+      locate_req->request_id = request_id;
+      msg = std::move(locate_req);
+      break;
+    }
+  }
+  ctx_.network().send(id_, target, std::move(msg));
+
+  ctx_.simulator().after(req.timeout_us, [this, request_id, attempt] {
+    const auto pending = requests_.find(request_id);
+    // Only advance if this attempt is still the live one (a rejected answer
+    // may already have moved the request along).
+    if (pending == requests_.end() || pending->second.attempts != attempt) return;
+    ++pending->second.timeouts;
+    if (pending->second.answer == MsgKind::kBlockResponse) {
+      ctx_.metrics().counter("retrieval.attempt_timeouts").inc();
+    }
+    next_attempt(request_id);
+  });
+}
+
+void IciNode::on_answer(std::uint64_t request_id, const IciMessage& answer) {
+  const auto it = requests_.find(request_id);
+  if (it == requests_.end() || it->second.answer != answer.kind()) return;
+  if (answer_ok(it->second, answer)) {
+    finish_request(request_id, &answer);
+  } else {
+    next_attempt(request_id);  // miss or bad answer: the next candidate
+  }
+}
+
+bool IciNode::answer_ok(const PendingRequest& request, const IciMessage& answer) {
+  switch (answer.kind()) {
+    case MsgKind::kBlockResponse: {
+      const auto& block = static_cast<const BlockResponseMsg&>(answer).block;
+      return block && block->hash() == request.block_hash && block->merkle_ok();
+    }
+    case MsgKind::kProofResponse: {
+      // Verify against our own header before accepting — a lying server
+      // cannot forge a path to the committed Merkle root.
+      const auto& proof = static_cast<const ProofResponseMsg&>(answer).proof;
+      if (!proof || proof->txid != request.txid || proof->block_hash != request.block_hash) {
+        return false;
+      }
+      const auto header = store_.header_by_hash(request.block_hash);
+      if (header && spv::verify_proof(*proof, *header)) return true;
+      ctx_.metrics().counter("spv.bad_proofs").inc();
+      return false;
+    }
+    default:  // a tx location: "found" and "not indexed" both conclude
+      return true;
+  }
+}
+
+void IciNode::finish_request(std::uint64_t request_id, const IciMessage* answer) {
+  const auto it = requests_.find(request_id);
+  PendingRequest request = std::move(it->second);
+  requests_.erase(it);
+  request.done(request, answer);
+}
+
+void IciNode::finish_fetch(FetchResult result, bool timed_out, const char* span,
+                           const FetchCallback& cb) {
   if (result.block) {
-    result.outcome = FetchOutcome::kRemote;
+    // Zero requests means the node reconstructed from its own shards.
+    result.outcome = result.attempts == 0 ? FetchOutcome::kLocal : FetchOutcome::kRemote;
     ctx_.metrics().distribution("retrieval.latency_us").add(
         static_cast<double>(result.elapsed_us));
-    obs::TraceSink::global().record_sim("retrieval/fetch",
-                                        static_cast<double>(result.elapsed_us));
+    obs::TraceSink::global().record_sim(span, static_cast<double>(result.elapsed_us));
   } else {
     // A fetch where every candidate answered "don't have it" is a genuine
     // not-found; any unanswered attempt makes the verdict a timeout (the
     // block may exist behind the silence).
-    result.outcome = pf.timeouts > 0 ? FetchOutcome::kTimeout : FetchOutcome::kNotFound;
+    result.outcome = timed_out ? FetchOutcome::kTimeout : FetchOutcome::kNotFound;
     ctx_.metrics().counter("retrieval.misses").inc();
-    ctx_.metrics()
-        .counter(pf.timeouts > 0 ? "retrieval.timeouts" : "retrieval.not_found")
-        .inc();
+    ctx_.metrics().counter(timed_out ? "retrieval.timeouts" : "retrieval.not_found").inc();
   }
-  if (pf.cb) pf.cb(result);
-  fetches_.erase(it);
+  if (cb) cb(result);
+}
+
+void IciNode::request_block(const Hash256& hash, std::vector<NodeId> candidates,
+                            FetchCallback cb) {
+  PendingRequest req;
+  req.answer = MsgKind::kBlockResponse;
+  req.block_hash = hash;
+  req.candidates = std::move(candidates);
+  req.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
+  req.done = [this, cb = std::move(cb)](const PendingRequest& r, const IciMessage* answer) {
+    FetchResult result;
+    if (answer != nullptr) result.block = static_cast<const BlockResponseMsg*>(answer)->block;
+    result.elapsed_us = ctx_.simulator().now() - r.started;
+    result.attempts = r.attempts;
+    result.timeouts = r.timeouts;
+    result.retry_rounds = r.rounds_used;
+    finish_fetch(std::move(result), r.timeouts > 0, "retrieval/fetch", cb);
+  };
+  start_request(std::move(req));
 }
 
 void IciNode::fetch_block(const Hash256& hash, std::uint64_t height, FetchCallback cb) {
@@ -811,28 +873,11 @@ void IciNode::fetch_block(const Hash256& hash, std::uint64_t height, FetchCallba
   std::stable_sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
     return ctx_.network().propagation_us(id_, a) < ctx_.network().propagation_us(id_, b);
   });
-
-  const std::uint64_t rid = next_request_id_++;
-  PendingFetch pf;
-  pf.hash = hash;
-  pf.candidates = std::move(candidates);
-  pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
-  pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
-  pf.cb = std::move(cb);
-  fetches_.emplace(rid, std::move(pf));
-  try_next_candidate(rid);
+  request_block(hash, std::move(candidates), std::move(cb));
 }
 
 void IciNode::pull_from(sim::NodeId source, const Hash256& hash) {
-  const std::uint64_t rid = next_request_id_++;
-  PendingFetch pf;
-  pf.hash = hash;
-  pf.candidates = {source};
-  pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
-  pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
-  pf.cb = [this](const FetchResult& r) {
+  request_block(hash, {source}, [this](const FetchResult& r) {
     if (r.block) {
       ctx_.metrics().counter("repair.copies_completed").inc();
       ctx_.metrics().counter("repair.bytes_copied").inc(r.block->serialized_size());
@@ -840,53 +885,6 @@ void IciNode::pull_from(sim::NodeId source, const Hash256& hash) {
     } else {
       ctx_.metrics().counter("repair.copies_failed").inc();
     }
-  };
-  fetches_.emplace(rid, std::move(pf));
-  try_next_candidate(rid);
-}
-
-void IciNode::try_next_candidate(std::uint64_t request_id) {
-  const auto it = fetches_.find(request_id);
-  if (it == fetches_.end() || it->second.done) return;
-  PendingFetch& pf = it->second;
-
-  if (pf.next_candidate >= pf.candidates.size()) {
-    if (pf.rounds_left > 0 && !pf.candidates.empty()) {
-      // Retry-with-backoff: another full pass over the candidate list with a
-      // longer per-attempt timeout. Candidates that merely dropped our
-      // request or response (message faults) get a second chance.
-      --pf.rounds_left;
-      ++pf.rounds_used;
-      pf.next_candidate = 0;
-      pf.timeout_us = static_cast<sim::SimTime>(
-          static_cast<double>(pf.timeout_us) * ctx_.config().fetch_retry_backoff);
-      ctx_.metrics().counter("retrieval.retry_rounds").inc();
-    } else {
-      finish_fetch(request_id, nullptr);
-      return;
-    }
-  }
-
-  const NodeId target = pf.candidates[pf.next_candidate++];
-  ++pf.attempts;
-  const std::size_t attempt = pf.next_candidate;
-  const std::uint32_t round = pf.rounds_used;
-  auto req = std::make_shared<BlockRequestMsg>();
-  req->block_hash = pf.hash;
-  req->request_id = request_id;
-  ctx_.network().send(id_, target, std::move(req));
-
-  ctx_.simulator().after(pf.timeout_us, [this, request_id, attempt, round] {
-    const auto pending = fetches_.find(request_id);
-    if (pending == fetches_.end() || pending->second.done) return;
-    // Only advance if this attempt is still the live one (a miss response
-    // may already have moved the fetch along, or a retry round restarted
-    // the candidate list).
-    if (pending->second.next_candidate != attempt || pending->second.rounds_used != round)
-      return;
-    ++pending->second.timeouts;
-    ctx_.metrics().counter("retrieval.attempt_timeouts").inc();
-    try_next_candidate(request_id);
   });
 }
 
@@ -894,8 +892,7 @@ void IciNode::try_next_candidate(std::uint64_t request_id) {
 // Coded mode
 // ---------------------------------------------------------------------------
 
-void IciNode::handle_block_shard(sim::NodeId from, const BlockShardMsg& msg) {
-  (void)from;
+void IciNode::handle_block_shard(const BlockShardMsg& msg) {
   shard_store_.put(msg.block_hash, msg.shard);
   ctx_.metrics().counter("storage.shards_received").inc();
 }
@@ -923,10 +920,9 @@ void IciNode::fetch_block_coded(const Hash256& hash, std::uint64_t height, Fetch
   const std::uint64_t rid = next_request_id_++;
   PendingCodedFetch pf;
   pf.hash = hash;
-  pf.height = height;
   pf.have.assign(ctx_.codec().total_shards(), false);
   pf.started = ctx_.simulator().now();
-  pf.timeout_us = ctx_.config().fetch_timeout_us;
+  pf.timeout_us = kFetchTimeoutUs;
   pf.rounds_left = static_cast<std::uint32_t>(ctx_.config().fetch_retry_rounds);
   pf.store_index = store_index;
   pf.cb = std::move(cb);
@@ -967,11 +963,11 @@ void IciNode::fetch_block_coded(const Hash256& hash, std::uint64_t height, Fetch
 
 void IciNode::arm_coded_deadline(std::uint64_t request_id) {
   const auto it = coded_fetches_.find(request_id);
-  if (it == coded_fetches_.end() || it->second.done) return;
+  if (it == coded_fetches_.end()) return;
   const std::uint32_t round = it->second.rounds_used;
   ctx_.simulator().after(it->second.timeout_us, [this, request_id, round] {
     const auto pending = coded_fetches_.find(request_id);
-    if (pending == coded_fetches_.end() || pending->second.done) return;
+    if (pending == coded_fetches_.end()) return;
     PendingCodedFetch& pf = pending->second;
     if (pf.rounds_used != round) return;  // a newer round re-armed already
     if (pf.collected.size() < ctx_.codec().data_shards() && pf.rounds_left > 0 &&
@@ -984,8 +980,8 @@ void IciNode::arm_coded_deadline(std::uint64_t request_id) {
       pf.timeouts += static_cast<std::uint32_t>(pf.outstanding);
       pf.outstanding = 0;
       pf.next_candidate = 0;
-      pf.timeout_us = static_cast<sim::SimTime>(
-          static_cast<double>(pf.timeout_us) * ctx_.config().fetch_retry_backoff);
+      pf.timeout_us =
+          static_cast<sim::SimTime>(static_cast<double>(pf.timeout_us) * kFetchRetryBackoff);
       ctx_.metrics().counter("retrieval.retry_rounds").inc();
       pump_coded_fetch(request_id);
       arm_coded_deadline(request_id);
@@ -998,7 +994,7 @@ void IciNode::arm_coded_deadline(std::uint64_t request_id) {
 
 void IciNode::pump_coded_fetch(std::uint64_t request_id) {
   const auto it = coded_fetches_.find(request_id);
-  if (it == coded_fetches_.end() || it->second.done) return;
+  if (it == coded_fetches_.end()) return;
   PendingCodedFetch& pf = it->second;
   const std::size_t need = ctx_.codec().data_shards();
 
@@ -1020,10 +1016,9 @@ void IciNode::pump_coded_fetch(std::uint64_t request_id) {
   if (pf.outstanding == 0) finish_coded_fetch(request_id);  // exhausted
 }
 
-void IciNode::handle_shard_response(sim::NodeId from, const ShardResponseMsg& msg) {
-  (void)from;
+void IciNode::handle_shard_response(const ShardResponseMsg& msg) {
   const auto it = coded_fetches_.find(msg.request_id);
-  if (it == coded_fetches_.end() || it->second.done) return;
+  if (it == coded_fetches_.end()) return;
   PendingCodedFetch& pf = it->second;
   if (pf.outstanding > 0) --pf.outstanding;
   if (msg.shard && msg.shard->index < pf.have.size() && !pf.have[msg.shard->index]) {
@@ -1037,62 +1032,41 @@ void IciNode::handle_shard_response(sim::NodeId from, const ShardResponseMsg& ms
 
 void IciNode::finish_coded_fetch(std::uint64_t request_id) {
   const auto it = coded_fetches_.find(request_id);
-  if (it == coded_fetches_.end() || it->second.done) return;
-  PendingCodedFetch& pf = it->second;
-  pf.done = true;
+  if (it == coded_fetches_.end()) return;
+  const PendingCodedFetch pf = std::move(it->second);
+  coded_fetches_.erase(it);
 
-  std::shared_ptr<const Block> result;
+  FetchResult result;
   if (pf.collected.size() >= ctx_.codec().data_shards()) {
     const auto payload = ctx_.codec().reconstruct(pf.collected);
     if (payload) {
       try {
         Block block = Block::deserialize(ByteSpan(payload->data(), payload->size()));
         if (block.hash() == pf.hash && block.merkle_ok()) {
-          result = std::make_shared<const Block>(std::move(block));
+          result.block = std::make_shared<const Block>(std::move(block));
         }
       } catch (const DecodeError&) {
         // corrupt reconstruction — treated as a miss below
       }
     }
   }
-
-  const sim::SimTime elapsed = ctx_.simulator().now() - pf.started;
-  if (result) {
-    ctx_.metrics().distribution("retrieval.latency_us").add(static_cast<double>(elapsed));
-    obs::TraceSink::global().record_sim("retrieval/coded_fetch", static_cast<double>(elapsed));
-    if (pf.store_index) {
-      // Repair: re-encode and keep only the assigned shard.
-      const Bytes payload = result->serialize();
-      const auto shards = ctx_.codec().encode(ByteSpan(payload.data(), payload.size()));
-      if (*pf.store_index < shards.size()) {
-        shard_store_.put(pf.hash, shards[*pf.store_index]);
-        ctx_.metrics().counter("repair.shards_completed").inc();
-      }
+  if (pf.store_index && result.block) {
+    // Repair: re-encode and keep only the assigned shard.
+    const Bytes payload = result.block->serialize();
+    const auto shards = ctx_.codec().encode(ByteSpan(payload.data(), payload.size()));
+    if (*pf.store_index < shards.size()) {
+      shard_store_.put(pf.hash, shards[*pf.store_index]);
+      ctx_.metrics().counter("repair.shards_completed").inc();
     }
-  } else {
-    ctx_.metrics().counter("retrieval.misses").inc();
-    ctx_.metrics()
-        .counter(pf.timeouts > 0 || pf.outstanding > 0 ? "retrieval.timeouts"
-                                                       : "retrieval.not_found")
-        .inc();
-    if (pf.store_index) ctx_.metrics().counter("repair.shards_failed").inc();
+  } else if (pf.store_index) {
+    ctx_.metrics().counter("repair.shards_failed").inc();
   }
-
-  FetchResult fetched;
-  fetched.elapsed_us = elapsed;
-  fetched.attempts = pf.attempts;
-  fetched.timeouts = pf.timeouts;
-  fetched.retry_rounds = pf.rounds_used;
-  if (result) {
-    fetched.block = std::move(result);
-    // Zero requests means the node reconstructed from its own shards.
-    fetched.outcome = pf.attempts == 0 ? FetchOutcome::kLocal : FetchOutcome::kRemote;
-  } else {
-    fetched.outcome = pf.timeouts > 0 || pf.outstanding > 0 ? FetchOutcome::kTimeout
-                                                            : FetchOutcome::kNotFound;
-  }
-  if (pf.cb) pf.cb(fetched);
-  coded_fetches_.erase(it);
+  result.elapsed_us = ctx_.simulator().now() - pf.started;
+  result.attempts = pf.attempts;
+  result.timeouts = pf.timeouts;
+  result.retry_rounds = pf.rounds_used;
+  finish_fetch(std::move(result), pf.timeouts > 0 || pf.outstanding > 0,
+               "retrieval/coded_fetch", pf.cb);
 }
 
 void IciNode::repair_shard(const Hash256& hash, std::uint64_t height,
@@ -1101,7 +1075,7 @@ void IciNode::repair_shard(const Hash256& hash, std::uint64_t height,
 }
 
 // ---------------------------------------------------------------------------
-// SPV proof serving
+// SPV proofs and tx location
 // ---------------------------------------------------------------------------
 
 void IciNode::handle_proof_request(sim::NodeId from, const ProofRequestMsg& msg) {
@@ -1111,13 +1085,7 @@ void IciNode::handle_proof_request(sim::NodeId from, const ProofRequestMsg& msg)
   if (ref) {
     resp->proof = spv::build_proof(*ref, msg.txid);
   }
-  if (ref.io_delay_us > 0) {
-    ctx_.simulator().after(ref.io_delay_us, [this, from, resp = std::move(resp)] {
-      ctx_.network().send(id_, from, resp);
-    });
-    return;
-  }
-  ctx_.network().send(id_, from, std::move(resp));
+  send_after(from, std::move(resp), ref.io_delay_us);
 }
 
 void IciNode::fetch_proof(const Hash256& txid, const Hash256& hash, std::uint64_t height,
@@ -1155,67 +1123,22 @@ void IciNode::fetch_proof(const Hash256& txid, const Hash256& hash, std::uint64_
     return;
   }
 
-  const std::size_t my_cluster = ctx_.directory().cluster_of(id_);
-  PendingProof pp;
-  pp.txid = txid;
-  pp.block_hash = hash;
-  pp.candidates = ctx_.fetch_candidates(hash, height, my_cluster, id_);
-  pp.started = ctx_.simulator().now();
-  pp.cb = std::move(cb);
-  const std::uint64_t rid = next_request_id_++;
-  proofs_.emplace(rid, std::move(pp));
-  try_next_proof_candidate(rid);
-}
-
-void IciNode::try_next_proof_candidate(std::uint64_t request_id) {
-  const auto it = proofs_.find(request_id);
-  if (it == proofs_.end() || it->second.done) return;
-  PendingProof& pp = it->second;
-
-  if (pp.next_candidate >= pp.candidates.size()) {
-    pp.done = true;
-    ctx_.metrics().counter("spv.misses").inc();
-    if (pp.cb) pp.cb(std::nullopt, ctx_.simulator().now() - pp.started);
-    proofs_.erase(it);
-    return;
-  }
-  const NodeId target = pp.candidates[pp.next_candidate++];
-  const std::size_t attempt = pp.next_candidate;
-  auto req = std::make_shared<ProofRequestMsg>();
-  req->txid = pp.txid;
-  req->block_hash = pp.block_hash;
-  req->request_id = request_id;
-  ctx_.network().send(id_, target, std::move(req));
-
-  ctx_.simulator().after(ctx_.config().fetch_timeout_us, [this, request_id, attempt] {
-    const auto pending = proofs_.find(request_id);
-    if (pending == proofs_.end() || pending->second.done) return;
-    if (pending->second.next_candidate != attempt) return;
-    try_next_proof_candidate(request_id);
-  });
-}
-
-void IciNode::handle_proof_response(sim::NodeId from, const ProofResponseMsg& msg) {
-  (void)from;
-  const auto it = proofs_.find(msg.request_id);
-  if (it == proofs_.end() || it->second.done) return;
-  PendingProof& pp = it->second;
-
-  // Verify against our own header before accepting — a lying server cannot
-  // forge a path to the committed Merkle root.
-  if (msg.proof && msg.proof->txid == pp.txid && msg.proof->block_hash == pp.block_hash) {
-    const auto header = store_.header_by_hash(pp.block_hash);
-    if (header && spv::verify_proof(*msg.proof, *header)) {
-      pp.done = true;
-      const sim::SimTime elapsed = ctx_.simulator().now() - pp.started;
-      ctx_.metrics().distribution("spv.latency_us").add(static_cast<double>(elapsed));
-      if (pp.cb) pp.cb(msg.proof, elapsed);
-      proofs_.erase(it);
+  PendingRequest req;
+  req.answer = MsgKind::kProofResponse;
+  req.block_hash = hash;
+  req.txid = txid;
+  req.candidates = ctx_.fetch_candidates(hash, height, ctx_.directory().cluster_of(id_), id_);
+  req.done = [this, cb = std::move(cb)](const PendingRequest& r, const IciMessage* answer) {
+    const sim::SimTime elapsed = ctx_.simulator().now() - r.started;
+    if (answer == nullptr) {
+      ctx_.metrics().counter("spv.misses").inc();
+      if (cb) cb(std::nullopt, elapsed);
       return;
     }
-    ctx_.metrics().counter("spv.bad_proofs").inc();
-  }
-  try_next_proof_candidate(msg.request_id);
+    ctx_.metrics().distribution("spv.latency_us").add(static_cast<double>(elapsed));
+    if (cb) cb(static_cast<const ProofResponseMsg*>(answer)->proof, elapsed);
+  };
+  start_request(std::move(req));
 }
 
 void IciNode::handle_tx_locate_request(sim::NodeId from, const TxLocateRequestMsg& msg) {
@@ -1244,32 +1167,22 @@ void IciNode::locate_tx(const Hash256& txid, LocateCallback cb) {
     return;
   }
 
-  const std::uint64_t rid = next_request_id_++;
-  locates_.emplace(rid, PendingLocate{std::move(cb), false});
-  auto req = std::make_shared<TxLocateRequestMsg>();
-  req->txid = txid;
-  req->request_id = rid;
-  ctx_.network().send(id_, owner, std::move(req));
-
-  ctx_.simulator().after(ctx_.config().fetch_timeout_us, [this, rid] {
-    const auto it = locates_.find(rid);
-    if (it == locates_.end() || it->second.done) return;
-    // Owner unreachable: report as not found (the caller can retry later).
-    auto cb = std::move(it->second.cb);
-    locates_.erase(it);
-    ctx_.metrics().counter("locate.timeouts").inc();
-    if (cb) cb(false, Hash256{}, 0);
-  });
-}
-
-void IciNode::handle_tx_locate_response(sim::NodeId from, const TxLocateResponseMsg& msg) {
-  (void)from;
-  const auto it = locates_.find(msg.request_id);
-  if (it == locates_.end() || it->second.done) return;
-  auto cb = std::move(it->second.cb);
-  locates_.erase(it);
-  ctx_.metrics().counter(msg.found ? "locate.hits" : "locate.misses").inc();
-  if (cb) cb(msg.found, msg.block_hash, msg.height);
+  PendingRequest req;
+  req.answer = MsgKind::kTxLocateResponse;
+  req.txid = txid;
+  req.candidates = {owner};
+  req.done = [this, cb = std::move(cb)](const PendingRequest&, const IciMessage* answer) {
+    const auto* resp = static_cast<const TxLocateResponseMsg*>(answer);
+    if (resp == nullptr) {
+      // Owner unreachable: report as not found (the caller can retry later).
+      ctx_.metrics().counter("locate.timeouts").inc();
+      if (cb) cb(false, Hash256{}, 0);
+      return;
+    }
+    ctx_.metrics().counter(resp->found ? "locate.hits" : "locate.misses").inc();
+    if (cb) cb(resp->found, resp->block_hash, resp->height);
+  };
+  start_request(std::move(req));
 }
 
 void IciNode::locate_and_prove(const Hash256& txid, ProofCallback cb) {

@@ -160,44 +160,53 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
     bool decided = false;
     sim::SimTime started = 0;
   };
-  void handle_full_block(sim::NodeId from, const FullBlockMsg& msg);
+  void handle_full_block(const FullBlockMsg& msg);
   void start_cluster_verification(std::shared_ptr<const Block> block);
   void handle_vote(sim::NodeId from, const VoteMsg& msg);
   void maybe_decide(const Hash256& block_hash);
   void commit_block(const Hash256& block_hash);
   void reject_block(const Hash256& block_hash, const char* counter);
 
+  // -- UTXO lookups: one round per slice (member) or challenge (head) ----
+  /// The UTXO entries one verification needs, each resolved from this
+  /// node's shard or awaited from its owner. A timed-out round decides on
+  /// what arrived.
+  struct LookupRound {
+    std::unordered_map<OutPoint, std::optional<TxOutput>, OutPointHasher> resolved;
+    std::size_t outstanding = 0;  // entries still awaited from owners
+    bool timed_out = false;
+  };
+  /// Owner → the outpoints to ask it for.
+  using LookupAsks = std::unordered_map<sim::NodeId, std::vector<OutPoint>>;
+  void resolve_inputs(const Transaction& tx, LookupRound& round, LookupAsks& asks) const;
+  /// One lookup per owner; the owner echoes `context` in its response.
+  void send_lookups(const Hash256& context, LookupAsks& asks);
+  /// Folds a response into the round; true once nothing is outstanding.
+  static bool apply_lookups(LookupRound& round, const UtxoResponseMsg& msg);
+  /// The stateful checks of a non-coinbase tx over the round's entries.
+  [[nodiscard]] static bool inputs_valid(const Transaction& tx, const LookupRound& round);
+
   // Challenge (fraud-proof) verification at the head: re-check one tx.
   struct PendingChallenge {
     Hash256 block_hash;
     Transaction tx;
-    std::size_t outstanding_lookups = 0;
-    bool lookup_timeout = false;
-    std::unordered_map<OutPoint, std::optional<TxOutput>, OutPointHasher> resolved;
-    bool done = false;
+    LookupRound lookups;
   };
   void start_challenge(const Hash256& block_hash, const Hash256& txid);
   void finish_challenge(const Hash256& challenge_key);
 
   // -- member role ------------------------------------------------------
   struct PendingSlice {
-    BlockHeader header;
-    Hash256 block_hash;
     sim::NodeId head = 0;
     std::vector<Transaction> txs;
-    std::size_t outstanding_lookups = 0;
-    bool any_lookup_failed = false;
-    bool done = false;
-    /// First invalid tx found — sent as the rejection's challenge.
-    std::optional<Hash256> offender;
-    std::unordered_map<OutPoint, std::optional<TxOutput>, OutPointHasher> resolved;
+    LookupRound lookups;
     sim::SimTime received = 0;  // slice arrival, for verify-latency tracing
   };
   void handle_slice(sim::NodeId from, const SliceMsg& msg);
   void finish_slice(const Hash256& block_hash);
   void handle_utxo_lookup(sim::NodeId from, const UtxoLookupMsg& msg);
-  void handle_utxo_response(sim::NodeId from, const UtxoResponseMsg& msg);
-  void handle_commit(sim::NodeId from, const CommitMsg& msg);
+  void handle_utxo_response(const UtxoResponseMsg& msg);
+  void handle_commit(const CommitMsg& msg);
 
   // -- streaming sync: the strategy-specific BulkPullSession::Env hooks ----
   [[nodiscard]] bool sync_linked_headers() const override { return true; }
@@ -216,35 +225,52 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
 
   // -- server role ------------------------------------------------------
   void handle_block_request(sim::NodeId from, const BlockRequestMsg& msg);
-  void handle_block_response(sim::NodeId from, const BlockResponseMsg& msg);
 
-  struct PendingFetch {
-    Hash256 hash;
-    std::vector<sim::NodeId> candidates;  // fallback order
+  // -- requests: block fetches and pulls, SPV proofs, tx locations --------
+  /// One outstanding request, asked of its candidates one at a time. An
+  /// attempt ends with an accepted answer, a rejected one (a miss, a corrupt
+  /// body, a bad proof) or its timeout; the last two move on to the next
+  /// candidate, and a retry round (block requests only) walks the list again
+  /// with a backed-off timeout. `done` runs once, after the entry has left
+  /// the table, with the accepted answer or null.
+  struct PendingRequest {
+    MsgKind answer = MsgKind::kBlockResponse;  // what candidates reply with
+    Hash256 block_hash;                        // block and proof requests
+    Hash256 txid;                              // proof and locate requests
+    std::vector<sim::NodeId> candidates;       // in the order asked
     std::size_t next_candidate = 0;
     sim::SimTime started = 0;
-    sim::SimTime timeout_us = 0;      // per-attempt; grows by the backoff
+    sim::SimTime timeout_us = 0;  // per attempt; grows by the backoff
     std::uint32_t attempts = 0;
     std::uint32_t timeouts = 0;
-    std::uint32_t rounds_left = 0;    // retry passes still allowed
+    std::uint32_t rounds_left = 0;  // retry passes still allowed
     std::uint32_t rounds_used = 0;
-    FetchCallback cb;
-    bool done = false;
+    std::function<void(const PendingRequest&, const IciMessage*)> done;
   };
-  void try_next_candidate(std::uint64_t request_id);
-  void finish_fetch(std::uint64_t request_id, std::shared_ptr<const Block> block);
+  void start_request(PendingRequest request);
+  void next_attempt(std::uint64_t request_id);
+  void on_answer(std::uint64_t request_id, const IciMessage& answer);
+  [[nodiscard]] bool answer_ok(const PendingRequest& request, const IciMessage& answer);
+  void finish_request(std::uint64_t request_id, const IciMessage* answer);
+
+  /// A replicated block fetch from `candidates` (fetch_block, pull_from).
+  void request_block(const Hash256& hash, std::vector<sim::NodeId> candidates,
+                     FetchCallback cb);
+  /// The one exit of every block fetch, replicated or coded: sets the
+  /// outcome, bumps retrieval.*, and hands the result to `cb`.
+  void finish_fetch(FetchResult result, bool timed_out, const char* span,
+                    const FetchCallback& cb);
 
   // -- coded mode ---------------------------------------------------------
-  void handle_block_shard(sim::NodeId from, const BlockShardMsg& msg);
+  void handle_block_shard(const BlockShardMsg& msg);
   void handle_shard_request(sim::NodeId from, const ShardRequestMsg& msg);
-  void handle_shard_response(sim::NodeId from, const ShardResponseMsg& msg);
+  void handle_shard_response(const ShardResponseMsg& msg);
   void fetch_block_coded(const Hash256& hash, std::uint64_t height, FetchCallback cb,
                          std::optional<std::uint32_t> store_index);
   void finish_coded_fetch(std::uint64_t request_id);
 
   struct PendingCodedFetch {
     Hash256 hash;
-    std::uint64_t height = 0;
     std::vector<erasure::Shard> collected;
     std::vector<bool> have;  // by shard index
     std::vector<sim::NodeId> candidates;
@@ -258,7 +284,6 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
     std::uint32_t rounds_used = 0;
     std::optional<std::uint32_t> store_index;  // repair: keep this shard
     FetchCallback cb;
-    bool done = false;
   };
   /// Issues shard requests until (in-flight + collected) covers d.
   void pump_coded_fetch(std::uint64_t request_id);
@@ -266,27 +291,9 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
   /// the backed-off timeout instead of finishing.
   void arm_coded_deadline(std::uint64_t request_id);
 
-  // -- SPV proof serving ----------------------------------------------------
+  // -- SPV proof and tx-location serving ------------------------------------
   void handle_proof_request(sim::NodeId from, const ProofRequestMsg& msg);
-  void handle_proof_response(sim::NodeId from, const ProofResponseMsg& msg);
-
-  struct PendingProof {
-    Hash256 txid;
-    Hash256 block_hash;
-    std::vector<sim::NodeId> candidates;
-    std::size_t next_candidate = 0;
-    sim::SimTime started = 0;
-    ProofCallback cb;
-    bool done = false;
-  };
-  void try_next_proof_candidate(std::uint64_t request_id);
-
   void handle_tx_locate_request(sim::NodeId from, const TxLocateRequestMsg& msg);
-  void handle_tx_locate_response(sim::NodeId from, const TxLocateResponseMsg& msg);
-  struct PendingLocate {
-    LocateCallback cb;
-    bool done = false;
-  };
 
   IciNetwork& ctx_;
   cluster::NodeId id_;
@@ -299,10 +306,8 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
   std::unordered_map<Hash256, PendingVerify, Hash256Hasher> verifying_;
   std::unordered_map<Hash256, PendingSlice, Hash256Hasher> slices_;
   std::unordered_map<Hash256, PendingChallenge, Hash256Hasher> challenges_;
-  std::unordered_map<std::uint64_t, PendingFetch> fetches_;
+  std::unordered_map<std::uint64_t, PendingRequest> requests_;
   std::unordered_map<std::uint64_t, PendingCodedFetch> coded_fetches_;
-  std::unordered_map<std::uint64_t, PendingProof> proofs_;
-  std::unordered_map<std::uint64_t, PendingLocate> locates_;
   /// txid → (block hash, height) for txs whose first output this node owns.
   struct TxLocation {
     Hash256 block_hash;

@@ -138,10 +138,9 @@ class Network {
   /// uplink and drawing the sender's jitter stream in call order) and
   /// schedules the delivery event on the *receiver's* lane. `transfer_us`
   /// is hoisted by the caller since it only depends on the sender and the
-  /// wire size. `batch` (optional) coalesces same-lane mailbox appends
-  /// during sharded fan-outs.
+  /// wire size.
   void schedule_delivery(NodeId from, NodeId to, std::size_t wire, double transfer_us,
-                         MessagePtr msg, Simulator::DeliveryBatch* batch = nullptr);
+                         MessagePtr msg);
   void deliver(NodeId from, NodeId to, std::size_t wire, const MessagePtr& msg);
 
   /// Per-node slot. Hot fields are touched only from the owning node's

@@ -214,33 +214,4 @@ std::size_t Simulator::run_sharded(SimTime deadline, std::size_t max_events) {
   return executed;
 }
 
-Simulator::DeliveryBatch::DeliveryBatch(Simulator& sim, const std::vector<std::uint32_t>& to,
-                                        std::uint32_t skip)
-    : sim_(sim) {
-  if (!sim.in_parallel_ || sim.lanes_.empty()) return;
-  std::uint32_t common = kNoLane;
-  bool any = false;
-  for (const std::uint32_t t : to) {
-    if (t == skip) continue;
-    const std::uint32_t lane = sim.lane_for(t);
-    if (!any) {
-      common = lane;
-      any = true;
-    } else if (lane != common) {
-      return;  // recipients span lanes: stay on the per-recipient path
-    }
-  }
-  if (!any || common == kNoLane || common == sim.context_lane()) return;
-  lane_ = common;
-  parcels_.reserve(to.size());
-}
-
-Simulator::DeliveryBatch::~DeliveryBatch() {
-  if (lane_ == kNoLane || parcels_.empty()) return;
-  Lane& target = *sim_.lanes_[lane_];
-  const std::lock_guard<std::mutex> lk(target.mu);
-  target.inbox.insert(target.inbox.end(), std::make_move_iterator(parcels_.begin()),
-                      std::make_move_iterator(parcels_.end()));
-}
-
 }  // namespace ici::sim

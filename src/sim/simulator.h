@@ -83,15 +83,6 @@ class Simulator {
     schedule_owned(node, clamp_when(when), std::forward<F>(action));
   }
 
-  /// Batches cross-lane deliveries that share one target lane so a
-  /// multicast fan-out takes the target mailbox lock once instead of once
-  /// per recipient (hot in exp04/exp09). Inactive — a plain pass-through
-  /// to schedule_for — outside parallel windows or when recipients span
-  /// lanes; see Network::multicast.
-  class DeliveryBatch;
-  template <typename F>
-  void schedule_for_batched(DeliveryBatch* batch, std::uint32_t node, SimTime when, F&& action);
-
   /// Splits the simulation into `shards` event lanes with the given
   /// conservative lookahead (µs, from sim/lbts.h). Call once, before any
   /// event is scheduled; nodes are then assigned via set_node_lane.
@@ -320,44 +311,5 @@ class Simulator {
   std::atomic<std::uint64_t> local_msgs_{0};
   std::atomic<std::uint64_t> xshard_msgs_{0};
 };
-
-/// See Simulator::schedule_for_batched. Collects same-target-lane parcels
-/// and appends them to the lane's inbox under a single lock on destruction.
-class Simulator::DeliveryBatch {
- public:
-  /// Arms the batch when (a) a parallel window is executing, (b) every
-  /// recipient in `to` (minus `skip`, the sender) maps to one lane, and
-  /// (c) that lane is not the current context's own (own-lane inserts are
-  /// already lock-free).
-  DeliveryBatch(Simulator& sim, const std::vector<std::uint32_t>& to, std::uint32_t skip);
-  ~DeliveryBatch();
-  DeliveryBatch(const DeliveryBatch&) = delete;
-  DeliveryBatch& operator=(const DeliveryBatch&) = delete;
-
- private:
-  friend class Simulator;
-  Simulator& sim_;
-  std::uint32_t lane_ = kNoLane;
-  std::vector<Parcel> parcels_;
-};
-
-template <typename F>
-void Simulator::schedule_for_batched(DeliveryBatch* batch, std::uint32_t node, SimTime when,
-                                     F&& action) {
-  if (batch != nullptr && batch->lane_ != kNoLane && lane_for(node) == batch->lane_) {
-    note_routing(node);
-    when = clamp_when(when);
-    const std::uint32_t src = context_node();
-    ensure_source(src);
-    ensure_source(node);
-    Parcel& p = batch->parcels_.emplace_back();
-    p.at = when;
-    p.key = draw_key(src);
-    p.owner = node;
-    p.ev.emplace(std::forward<F>(action));
-    return;
-  }
-  schedule_for(node, when, std::forward<F>(action));
-}
 
 }  // namespace ici::sim

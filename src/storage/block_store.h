@@ -14,7 +14,7 @@
 // computed exactly once, at wrap time). Reads hand out BlockRef — a handle
 // that works for in-memory and disk-backed storage and reports the
 // simulated IO cost the caller should charge before acting on the bytes.
-// Serve/retrieval paths take BlockReader, a read-only view.
+// Serve paths take a `const BlockStore&`: reads only.
 //
 // Headers are interned in a HeaderIndex — by default a private one (so a
 // standalone store behaves exactly as before), but the network facades pass
@@ -200,53 +200,6 @@ class BlockStore {
   NodeStorageTally own_;
   bool has_tip_ = false;
   std::uint64_t tip_height_ = 0;
-};
-
-/// Read-only view over a BlockStore — what serve and retrieval paths take,
-/// so the type system keeps them from writing. Implicitly constructible
-/// from any (const) store; a thin pointer, pass by value.
-class BlockReader {
- public:
-  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
-  BlockReader(const BlockStore& store) : store_(&store) {}
-
-  [[nodiscard]] bool has_block(const Hash256& hash) const { return store_->has_block(hash); }
-  [[nodiscard]] BlockRef block_by_hash(const Hash256& hash) const {
-    return store_->block_by_hash(hash);
-  }
-  [[nodiscard]] BlockRef block_at(std::uint64_t height) const {
-    return store_->block_at(height);
-  }
-  [[nodiscard]] std::optional<BlockHeader> header_by_hash(const Hash256& hash) const {
-    return store_->header_by_hash(hash);
-  }
-  [[nodiscard]] std::optional<BlockHeader> header_at(std::uint64_t height) const {
-    return store_->header_at(height);
-  }
-  [[nodiscard]] std::optional<std::uint64_t> tip_height() const {
-    return store_->tip_height();
-  }
-  [[nodiscard]] std::size_t block_count() const { return store_->block_count(); }
-  [[nodiscard]] std::size_t header_count() const { return store_->header_count(); }
-  [[nodiscard]] std::vector<Hash256> stored_hashes() const { return store_->stored_hashes(); }
-
- private:
-  const BlockStore* store_;
-};
-
-/// Write view: the complement handed to ingest/repair paths that must admit
-/// or prune bodies but have no business scanning the store.
-class BlockWriter {
- public:
-  // NOLINTNEXTLINE(google-explicit-constructor): a view, by design.
-  BlockWriter(BlockStore& store) : store_(&store) {}
-
-  void put(StoredBlock&& sb) const { store_->put(std::move(sb)); }
-  std::uint64_t prune(const Hash256& hash) const { return store_->prune_block(hash); }
-  [[nodiscard]] BlockReader reader() const { return BlockReader(*store_); }
-
- private:
-  BlockStore* store_;
 };
 
 }  // namespace ici

@@ -19,7 +19,7 @@ std::uint64_t ServeThrottle::delay_for(std::uint32_t server, std::uint32_t peer,
   return busy - now;
 }
 
-sim::MessagePtr serve_frontier(BlockReader store,
+sim::MessagePtr serve_frontier(const BlockStore& store,
                                const FrontierRequestMsg& req,
                                std::uint64_t inventory, bool serves_shards) {
   auto resp = std::make_shared<FrontierResponseMsg>();
@@ -33,7 +33,7 @@ sim::MessagePtr serve_frontier(BlockReader store,
   return resp;
 }
 
-ServedRange serve_range(BlockReader store, const RangeRequestMsg& req) {
+ServedRange serve_range(const BlockStore& store, const RangeRequestMsg& req) {
   auto resp = std::make_shared<RangeResponseMsg>();
   resp->session_id = req.session_id;
   resp->range_index = req.range_index;

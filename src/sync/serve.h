@@ -51,9 +51,8 @@ class ServeThrottle {
 
 /// Builds the frontier answer for `req`. `inventory` is the count of
 /// bodies (replication) or shards (coded) the peer can serve;
-/// `serves_shards` marks coded peers. Takes a read-only store view — the
-/// serve side never writes.
-[[nodiscard]] sim::MessagePtr serve_frontier(BlockReader store,
+/// `serves_shards` marks coded peers. The serve side only reads the store.
+[[nodiscard]] sim::MessagePtr serve_frontier(const BlockStore& store,
                                              const FrontierRequestMsg& req,
                                              std::uint64_t inventory,
                                              bool serves_shards);
@@ -74,6 +73,6 @@ struct ServedRange {
 ///    [from, from+count) the store holds; in kHeadersAndBodies mode, every
 ///    held body in the range rides along.
 ///  - kListedBodies: exactly the wanted bodies the store holds.
-[[nodiscard]] ServedRange serve_range(BlockReader store, const RangeRequestMsg& req);
+[[nodiscard]] ServedRange serve_range(const BlockStore& store, const RangeRequestMsg& req);
 
 }  // namespace ici::sync

@@ -148,23 +148,6 @@ TEST(BlockStore, TotalBytesIsBodiesPlusHeaders) {
   EXPECT_EQ(store.total_bytes(), store.body_bytes() + store.header_bytes());
 }
 
-TEST(BlockStore, ReaderAndWriterViews) {
-  const Chain chain = small_chain();
-  BlockStore store;
-  const BlockWriter writer(store);
-  writer.put(HashedBlock(chain.at_height(1)));
-
-  const BlockReader reader = writer.reader();
-  EXPECT_TRUE(reader.has_block(chain.at_height(1).hash()));
-  EXPECT_EQ(reader.block_count(), 1u);
-  const BlockRef ref = reader.block_by_hash(chain.at_height(1).hash());
-  ASSERT_TRUE(ref);
-  EXPECT_EQ(ref->hash(), chain.at_height(1).hash());
-
-  EXPECT_EQ(writer.prune(chain.at_height(1).hash()), chain.at_height(1).serialized_size());
-  EXPECT_FALSE(reader.has_block(chain.at_height(1).hash()));
-}
-
 TEST(StorageMeter, SnapshotAggregates) {
   const Chain chain = small_chain();
   BlockStore a, b;

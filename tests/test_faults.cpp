@@ -1,11 +1,15 @@
 // Fault injection (sim/faults.h): random crash sessions, plan-spec parsing,
 // bit-identical replay from a seed, crash-window reconstruction invariants,
-// and retrieval retry-with-backoff under a lossy network. docs/FAULTS.md
-// documents the fault model these tests pin down.
+// retrieval retry-with-backoff under a lossy network, and goldens that pin
+// the request and lookup paths to exact counters and event counts.
+// docs/FAULTS.md documents the fault model these tests pin down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "ici/network.h"
 #include "ici/retrieval.h"
 #include "sim/faults.h"
+#include "spv/proof.h"
 
 namespace ici::core {
 namespace {
@@ -350,6 +355,180 @@ TEST(FaultRepair, DaemonRestoresReplicasUnderChurn) {
   EXPECT_GT(rig.net->metrics().counter_value("repair.copies_started"), 0u);
   EXPECT_GT(rig.net->network_availability(), 0.99)
       << "repair must keep committed blocks servable somewhere";
+}
+
+// -- golden: request and lookup paths -----------------------------------------
+
+/// The counters and sim-time distributions under `prefixes`, one
+/// `name=value` line each (a distribution as its count and sum), then the
+/// event count: what a golden pins to prove a path replays exactly.
+std::string dump_metrics(IciNetwork& net, std::initializer_list<const char*> prefixes) {
+  auto wanted = [&](const std::string& name) {
+    return std::any_of(prefixes.begin(), prefixes.end(),
+                       [&](const char* prefix) { return name.rfind(prefix, 0) == 0; });
+  };
+  std::ostringstream os;
+  for (const auto& [name, counter] : net.metrics().counters()) {
+    if (wanted(name)) os << name << '=' << counter.value() << '\n';
+  }
+  for (const auto& [name, dist] : net.metrics().distributions()) {
+    if (wanted(name)) {
+      os << name << '=' << dist.count() << '/' << static_cast<std::uint64_t>(dist.sum()) << '\n';
+    }
+  }
+  os << "sim.events_executed=" << net.metrics().counter_value("sim.events_executed") << '\n';
+  return os.str();
+}
+
+TEST(FaultGolden, RequestAndLookupPathsReplayExactly) {
+  // One run through every request path and the slice lookup round: slice
+  // lookups that time out on a dark owner, block fetches with retry rounds
+  // under drops, locate-then-prove for every committed tx, and a repair pull.
+  // The expected values pin the exact event schedule, so a refactor of these
+  // paths must replay it message for message.
+  ChainGenConfig ccfg;
+  ccfg.txs_per_block = 12;
+  ChainGenerator gen(ccfg);
+  IciNetworkConfig ncfg;
+  ncfg.node_count = 48;
+  ncfg.ici.cluster_count = 3;
+  ncfg.ici.replication = 2;
+  ncfg.ici.fetch_retry_rounds = 2;
+  IciNetwork net(ncfg);
+  Block genesis = gen.workload().make_genesis();
+  gen.workload().confirm(genesis);
+  Chain chain(genesis);
+  net.init_with_genesis(genesis);
+
+  // A cluster-0 member goes dark for four live blocks: its UTXO shard cannot
+  // answer lookups, so slices that spend from it vote after the timeout.
+  const cluster::NodeId dark = net.directory().members(0).back();
+  net.network().set_online(dark, false);
+  net.directory().set_online(dark, false);
+  for (int i = 0; i < 4; ++i) {
+    chain.append(gen.next_block(chain));
+    net.disseminate_and_settle(chain.tip());
+  }
+  net.network().set_online(dark, true);
+  net.directory().set_online(dark, true);
+  EXPECT_GT(net.metrics().counter_value("lookup.timeouts"), 0u);
+
+  sim::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(sim::FaultPlan::parse("seed=21,drop=0.35", &plan, &error));
+  net.start_faults(plan);
+
+  const RetrievalStats stats = RetrievalDriver::run(net, 30, /*seed=*/77);
+  std::ostringstream fetched;
+  fetched << stats.local_hits << '/' << stats.remote_hits << '/' << stats.timeouts << '/'
+          << stats.not_found << '/' << stats.retry_rounds << '/' << stats.attempt_timeouts << '/'
+          << stats.latency_us.count();
+
+  std::size_t proved = 0;
+  std::size_t unproved = 0;
+  std::size_t asker = 0;
+  for (std::uint64_t h = 0; h <= chain.height(); ++h) {
+    const Block& block = chain.at_height(h);
+    for (const Transaction& tx : block.txs()) {
+      asker = (asker + 7) % net.node_count();
+      net.node(static_cast<cluster::NodeId>(asker))
+          .locate_and_prove(tx.txid(), [&](std::optional<spv::TxInclusionProof> proof,
+                                           sim::SimTime) {
+            if (proof && spv::verify_proof(*proof, block.header())) {
+              ++proved;
+            } else {
+              ++unproved;
+            }
+          });
+      net.settle();
+    }
+  }
+
+  // Repair: one storer loses its copy of block 2, so repair pulls it back.
+  const Hash256 pruned = chain.at_height(2).hash();
+  const cluster::NodeId storer = net.storers_of(pruned, 2, 0, /*online_only=*/false).front();
+  EXPECT_GT(net.node(storer).prune(pruned), 0u);
+  net.repair_cluster(0);
+  net.settle();
+
+  // local/remote/timeouts/not_found/retry_rounds/attempt_timeouts/latencies
+  EXPECT_EQ(fetched.str(), "2/28/0/0/0/52/28");
+  EXPECT_EQ(proved, 27u);
+  EXPECT_EQ(unproved, 26u);
+  EXPECT_EQ(dump_metrics(net, {"retrieval.", "locate.", "spv.", "lookup.", "repair."}),
+            "locate.hits=20\n"
+            "locate.timeouts=25\n"
+            "lookup.requests=131\n"
+            "lookup.timeouts=5\n"
+            "repair.bytes_copied=2820\n"
+            "repair.copies_completed=1\n"
+            "repair.copies_started=1\n"
+            "repair.unavailable_blocks=0\n"
+            "retrieval.attempt_timeouts=53\n"
+            "retrieval.local_hits=2\n"
+            "retrieval.retry_rounds=1\n"
+            "spv.bad_proofs=1\n"
+            "spv.misses=1\n"
+            "retrieval.latency_us=29/532594635\n"
+            "spv.latency_us=25/432238647\n"
+            "sim.events_executed=1449\n");
+}
+
+TEST(FaultGolden, ChallengeLookupsReplayExactly) {
+  // The head's fraud check runs the same UTXO lookup round as a slice. A
+  // quarter of every cluster rejects each slice with a fabricated challenge,
+  // one honest owner is dark (lookups to it time out), and a last
+  // block spends an outpoint that never existed (a confirmed fraud).
+  ChainGenConfig ccfg;
+  ccfg.txs_per_block = 12;
+  ChainGenerator gen(ccfg);
+  IciNetworkConfig ncfg;
+  ncfg.node_count = 48;
+  ncfg.ici.cluster_count = 3;
+  IciNetwork net(ncfg);
+  Block genesis = gen.workload().make_genesis();
+  gen.workload().confirm(genesis);
+  Chain chain(genesis);
+  net.init_with_genesis(genesis);
+  for (std::size_t c = 0; c < net.directory().cluster_count(); ++c) {
+    const auto& members = net.directory().members(c);
+    for (std::size_t i = 0; i < members.size() / 4; ++i) {
+      net.set_fault(members[i], FaultProfile{.vote_reject = true});
+    }
+  }
+
+  const cluster::NodeId dark = net.directory().members(0).back();
+  net.network().set_online(dark, false);
+  net.directory().set_online(dark, false);
+  for (int i = 0; i < 4; ++i) {
+    chain.append(gen.next_block(chain));
+    net.disseminate_and_settle(chain.tip());
+  }
+
+  Block good = gen.next_block(chain);
+  std::vector<Transaction> txs = good.txs();
+  const KeyPair key = KeyPair::from_seed(4242);
+  Transaction phantom({TxInput{OutPoint{Hash256::tagged("void", {}), 0}, {}, {}}},
+                      {TxOutput{7, key.pub}}, 123);
+  phantom.sign_all_inputs(key);
+  txs.push_back(std::move(phantom));
+  net.disseminate_and_settle(Block::assemble(good.header().parent, good.header().height,
+                                             good.header().timestamp_us, std::move(txs)));
+
+  EXPECT_EQ(dump_metrics(net, {"fraud.", "lookup.", "verify.", "commit."}),
+            "commit.count=12\n"
+            "commit.notices=188\n"
+            "fraud.bogus=50\n"
+            "fraud.confirmed=3\n"
+            "lookup.requests=165\n"
+            "lookup.timeouts=7\n"
+            "verify.fraud_rejected=3\n"
+            "verify.late_votes=3\n"
+            "verify.rounds_started=15\n"
+            "verify.slice_approved=177\n"
+            "verify.slice_rejected=58\n"
+            "commit.cluster_latency_us=12/17002461\n"
+            "sim.events_executed=1285\n");
 }
 
 }  // namespace
