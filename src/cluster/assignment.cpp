@@ -52,6 +52,30 @@ double rendezvous_weight(const Hash256& block_hash, NodeId node) {
   return weight_of(digest);
 }
 
+NodeId rendezvous_top1(const Hash256& key, const std::vector<NodeInfo>& members) {
+  if (members.empty()) throw std::invalid_argument("rendezvous_top1: empty cluster");
+  std::uint8_t blocks[kBatch * 64];
+  Digest256 digests[kBatch];
+  fill_blocks(blocks, std::min(kBatch, members.size()), key);
+  NodeId best = kNoNode;
+  double best_score = 0;
+  for (std::size_t base = 0; base < members.size(); base += kBatch) {
+    const std::size_t n = std::min(kBatch, members.size() - base);
+    for (std::size_t i = 0; i < n; ++i) put_id(blocks + 64 * i, members[base + i].id);
+    Sha256::hash_blocks(blocks, digests, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // storers()' order, first element: highest score, then lowest id.
+      const NodeId id = members[base + i].id;
+      const double score = -1.0 / std::log(weight_of(digests[i]));
+      if (base + i == 0 || score > best_score || (score == best_score && id < best)) {
+        best = id;
+        best_score = score;
+      }
+    }
+  }
+  return best;
+}
+
 std::vector<NodeId> RendezvousAssigner::storers(const Hash256& block_hash, std::uint64_t height,
                                                 const std::vector<NodeInfo>& members,
                                                 std::size_t r) const {

@@ -61,4 +61,11 @@ class RoundRobinAssigner final : public BlockAssigner {
 /// Exposed for tests of distribution properties.
 [[nodiscard]] double rendezvous_weight(const Hash256& block_hash, NodeId node);
 
+/// The unweighted rendezvous winner for `key`: the same member as
+/// RendezvousAssigner().storers(key, 0, members, 1).front() (score
+/// -1/ln(u), ties to the lower id), found without allocating. Safe to call
+/// from several threads at once. Throws std::invalid_argument when
+/// `members` is empty.
+[[nodiscard]] NodeId rendezvous_top1(const Hash256& key, const std::vector<NodeInfo>& members);
+
 }  // namespace ici::cluster

@@ -130,6 +130,78 @@ double Histogram::percentile(double p) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
+std::size_t LogHistogram::bucket_of(double x) {
+  if (!(x >= std::ldexp(1.0, kMinExp))) return 0;        // also NaN
+  if (x >= std::ldexp(1.0, kMaxExp)) return kBuckets - 1;  // also +inf
+  int exp = 0;
+  const double mant = std::frexp(x, &exp);  // x = mant * 2^exp, mant in [0.5, 1)
+  const auto octave = static_cast<std::size_t>(exp - 1 - kMinExp);
+  const int sub = std::min(kSubBuckets - 1, static_cast<int>((mant * 2.0 - 1.0) * kSubBuckets));
+  return 1 + octave * kSubBuckets + static_cast<std::size_t>(sub);
+}
+
+double LogHistogram::bucket_value(std::size_t bucket) {
+  if (bucket == 0) return 0.0;
+  if (bucket == kBuckets - 1) return std::ldexp(1.0, kMaxExp);
+  const std::size_t octave = (bucket - 1) / kSubBuckets;
+  const std::size_t sub = (bucket - 1) % kSubBuckets;
+  return std::ldexp(1.0 + (static_cast<double>(sub) + 0.5) / kSubBuckets,
+                    static_cast<int>(octave) + kMinExp);
+}
+
+void LogHistogram::add(double x) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
+  ++buckets_[bucket_of(x)];
+  min_ = n_ == 0 ? x : std::min(min_, x);
+  max_ = n_ == 0 ? x : std::max(max_, x);
+  sum_ += x;
+  ++n_;
+}
+
+std::uint64_t LogHistogram::count() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return n_;
+}
+
+double LogHistogram::sum() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return sum_;
+}
+
+double LogHistogram::min() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return min_;
+}
+
+double LogHistogram::max() const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  return max_;
+}
+
+double LogHistogram::value_at_locked(std::uint64_t k) const {
+  if (k == 0) return min_;
+  if (k + 1 >= n_) return max_;
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    seen += buckets_[b];
+    if (seen > k) return std::clamp(bucket_value(b), min_, max_);
+  }
+  return max_;
+}
+
+double LogHistogram::percentile(double p) const {
+  const std::lock_guard<std::mutex> lk(mu_);
+  if (n_ == 0) return 0.0;
+  p = std::clamp(p, 0.0, 100.0);
+  // Same rank rule as Histogram::percentile.
+  const double rank = (p / 100.0) * static_cast<double>(n_ - 1);
+  const auto lo = static_cast<std::uint64_t>(rank);
+  const std::uint64_t hi = std::min(lo + 1, n_ - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return value_at_locked(lo) * (1.0 - frac) + value_at_locked(hi) * frac;
+}
+
 std::string format_bytes(double bytes) {
   static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   int unit = 0;

@@ -122,6 +122,8 @@ void Sha256::compress_blocks(const std::uint8_t* data, std::size_t nblocks) {
 
 Sha256& Sha256::update(ByteSpan data) {
   if (finalized_) throw std::logic_error("Sha256: update after final");
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return *this;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace ici::core {
@@ -120,10 +121,67 @@ Hash256 utxo_owner_key(const OutPoint& op) {
   return Hash256::tagged("ici/utxo", ByteSpan(w.bytes().data(), w.bytes().size()));
 }
 
+/// Rendezvous weights (one SHA-256 compression each) per owner-pass chunk.
+/// A chunk ranks whole keys, so its grain is this over the members one key
+/// is ranked against: the work's shape, never the pool's size.
+constexpr std::size_t kOwnerHashesPerChunk = 2048;
+
+/// Genesis outputs ranked per pass; bounds init_with_genesis's owner buffer.
+constexpr std::size_t kGenesisOwnerWindow = 4096;
+
 }  // namespace
 
 NodeId IciNetwork::utxo_owner(const OutPoint& op, std::size_t cluster) const {
-  return assigner_.storers(utxo_owner_key(op), 0, directory_->member_infos(cluster), 1).front();
+  const std::size_t k = directory_->cluster_count();
+  const auto row = owner_rows_.find(op);
+  if (row != owner_rows_.end() && cluster < k) return owners_[row->second * k + cluster];
+  return cluster::rendezvous_top1(utxo_owner_key(op), directory_->member_infos(cluster));
+}
+
+void IciNetwork::rank_owners(const Hash256* keys, std::size_t n, std::size_t first,
+                             std::size_t last, NodeId* out) const {
+  std::size_t hashes_per_key = 0;
+  for (std::size_t c = first; c < last; ++c) hashes_per_key += directory_->member_infos(c).size();
+  const std::size_t grain =
+      std::max<std::size_t>(1, kOwnerHashesPerChunk / std::max<std::size_t>(1, hashes_per_key));
+  const std::size_t width = last - first;
+  // Every (key, cluster) slot is written by exactly one chunk, so the table
+  // is the same for any thread count.
+  ThreadPool::global().parallel_for(0, n, grain, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t c = first; c < last; ++c) {
+        out[i * width + (c - first)] =
+            cluster::rendezvous_top1(keys[i], directory_->member_infos(c));
+      }
+    }
+  });
+}
+
+void IciNetwork::add_block_owners(const Block& block) {
+  std::vector<Hash256> keys;
+  const auto add = [&](const OutPoint& op) {
+    if (owner_rows_.try_emplace(op, owner_rows_.size()).second) {
+      keys.push_back(utxo_owner_key(op));
+    }
+  };
+  for (const Transaction& tx : block.txs()) {
+    for (const TxInput& in : tx.inputs()) add(in.prevout);
+    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) add(OutPoint{tx.txid(), i});
+  }
+  const std::size_t k = directory_->cluster_count();
+  const std::size_t first = owners_.size();
+  owners_.resize(first + keys.size() * k);
+  rank_owners(keys.data(), keys.size(), 0, k, owners_.data() + first);
+}
+
+void IciNetwork::drop_owner_table() {
+  owner_rows_.clear();
+  owners_.clear();
+}
+
+void IciNetwork::settle() {
+  rt_.settle();
+  drop_owner_table();
 }
 
 void IciNetwork::init_with_genesis(const Block& genesis) {
@@ -136,6 +194,19 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
     const Bytes payload = genesis.serialize();
     genesis_shards = codec_->encode(ByteSpan(payload.data(), payload.size()));
   }
+
+  // Genesis outputs in genesis order, each owner key hashed once.
+  std::vector<OutPoint> outpoints;
+  std::vector<const TxOutput*> outputs;
+  std::vector<Hash256> keys;
+  for (const Transaction& tx : genesis.txs()) {
+    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
+      outpoints.push_back({tx.txid(), i});
+      outputs.push_back(&tx.outputs()[i]);
+      keys.push_back(utxo_owner_key(outpoints.back()));
+    }
+  }
+  std::vector<NodeId> owners(std::min(kGenesisOwnerWindow, keys.size()));
 
   for (std::size_t c = 0; c < directory_->cluster_count(); ++c) {
     if (coded()) {
@@ -156,14 +227,15 @@ void IciNetwork::init_with_genesis(const Block& genesis) {
         nodes_[id].seed_genesis(genesis, is_storer);
       }
     }
-    // One rendezvous per (cluster, outpoint); the output goes straight to
-    // its owner. Outputs go in genesis order, so each shard's insertion
-    // order — which its iteration order follows — is the genesis order of
-    // the outputs it owns.
-    for (const Transaction& tx : genesis.txs()) {
-      for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
-        const OutPoint op{tx.txid(), i};
-        nodes_[utxo_owner(op, c)].seed_genesis_output(op, tx.outputs()[i], hash);
+    // One rendezvous per (cluster, outpoint), ranked a window at a time; the
+    // output goes straight to its owner. Outputs go in genesis order, so
+    // each shard's insertion order — which its iteration order follows — is
+    // the genesis order of the outputs it owns.
+    for (std::size_t at = 0; at < keys.size(); at += owners.size()) {
+      const std::size_t n = std::min(owners.size(), keys.size() - at);
+      rank_owners(keys.data() + at, n, c, c + 1, owners.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        nodes_[owners[i]].seed_genesis_output(outpoints[at + i], *outputs[at + i], hash);
       }
     }
   }
@@ -192,6 +264,7 @@ void IciNetwork::disseminate(const Block& block) {
   if (proposer == cluster::kNoNode) throw std::runtime_error("no online proposer available");
 
   progress_[block.hash()] = CommitProgress{0, rt_.simulator().now(), 0};
+  add_block_owners(block);
   nodes_[proposer].propose(block);
 }
 
@@ -497,6 +570,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
   auto fresh = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
   for (const auto& [id, online] : liveness) fresh->set_online(id, online);
   directory_ = std::move(fresh);
+  drop_owner_table();
 
   // Every new cluster must regain the full ledger: pull each block a new
   // assignee lacks from its nearest current holder (possibly cross-cluster
@@ -558,6 +632,7 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
   info.capacity = 1.0;
   infos_.push_back(info);
   directory_->add_member(info, cluster);
+  drop_owner_table();
   add_node(info);
   return info.id;
 }

@@ -63,8 +63,8 @@ class IciNetwork {
   void disseminate(const Block& block);
 
   /// Runs the simulator until no events remain, then refreshes the "sim.*"
-  /// event-core counters in metrics().
-  void settle() { rt_.settle(); }
+  /// event-core counters in metrics(). Drops the owner table (utxo_owner).
+  void settle();
 
   /// Statically installs an already-built chain (headers everywhere, bodies
   /// on assigned storers, shards updated) with no message traffic. Storage
@@ -122,7 +122,8 @@ class IciNetwork {
                                                         bool online_only) const;
 
   /// UTXO-shard owner of an outpoint within `cluster` (stable: rendezvous
-  /// over the full membership).
+  /// over the full membership). Outpoints of the blocks disseminated since
+  /// the last settle() come from the owner table; any other is ranked now.
   [[nodiscard]] cluster::NodeId utxo_owner(const OutPoint& op, std::size_t cluster) const;
 
   /// Online peers worth asking for a block body, rendezvous-ranked, with
@@ -197,6 +198,14 @@ class IciNetwork {
 
  private:
   void add_node(const cluster::NodeInfo& info);
+  /// Adds a row to the owner table for every outpoint `block` spends or
+  /// creates that has none yet, ranked in one pass over the worker pool.
+  void add_block_owners(const Block& block);
+  void drop_owner_table();
+  /// out[i * (last - first) + (c - first)] = owner of keys[i] in cluster c,
+  /// for c in [first, last), ranked over the worker pool.
+  void rank_owners(const Hash256* keys, std::size_t n, std::size_t first, std::size_t last,
+                   cluster::NodeId* out) const;
   void repair_cluster_coded(std::size_t cluster);
   /// Whether the online nodes among `holders` can serve `hash`: one holds
   /// the body, or (coded) they hold d distinct shard indices.
@@ -207,10 +216,18 @@ class IciNetwork {
   fleet::FleetRuntime rt_;  // before nodes_: see fleet/runtime.h
   std::vector<cluster::NodeInfo> infos_;
   std::unique_ptr<cluster::ClusterDirectory> directory_;
-  /// Places bodies, shards and UTXO-shard ownership. Fleet nodes all have
-  /// capacity 1.0, so capacity weighting would not move a single score.
+  /// Places bodies and shards; UTXO-shard ownership is its top-1 pick
+  /// (cluster::rendezvous_top1). Fleet nodes all have capacity 1.0, so
+  /// capacity weighting would not move a single score.
   cluster::RendezvousAssigner assigner_;
   ObjectArena<IciNode> nodes_;
+  /// Owner table: owner_rows_[op] is op's row in owners_, which holds one
+  /// owner per cluster. Written only between event runs, by disseminate()
+  /// on the thread that calls the simulator, and read by the handlers of
+  /// every lane; dropped by settle(), add_joiner() and reconfigure(), so it
+  /// never outlives the membership it was ranked over.
+  std::unordered_map<OutPoint, std::size_t, OutPointHasher> owner_rows_;
+  std::vector<cluster::NodeId> owners_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;
 

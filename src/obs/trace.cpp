@@ -32,26 +32,19 @@ TraceSink& TraceSink::global() {
   return sink;
 }
 
+TraceSink::LabelData& TraceSink::label_data(std::string_view label) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  auto it = labels_.find(label);
+  if (it == labels_.end()) it = labels_.try_emplace(std::string(label)).first;
+  return it->second;  // map nodes are stable; add() runs outside the lock
+}
+
 void TraceSink::record_wall(std::string_view label, double wall_us) {
-  metrics::Distribution* dist = nullptr;
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    auto it = labels_.find(label);
-    if (it == labels_.end()) it = labels_.emplace(std::string(label), LabelData{}).first;
-    dist = &it->second.wall;  // map nodes are stable; add() outside the lock
-  }
-  dist->add(wall_us);
+  label_data(label).wall.add(wall_us);
 }
 
 void TraceSink::record_sim(std::string_view label, double sim_us) {
-  metrics::Distribution* dist = nullptr;
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    auto it = labels_.find(label);
-    if (it == labels_.end()) it = labels_.emplace(std::string(label), LabelData{}).first;
-    dist = &it->second.sim;
-  }
-  dist->add(sim_us);
+  label_data(label).sim.add(sim_us);
 }
 
 std::uint64_t TraceSink::set_sim_clock(SimClock clock) {
@@ -72,18 +65,14 @@ std::vector<LabelAggregate> TraceSink::aggregates() const {
     agg.label = label;
     agg.has_wall = data.wall.count() > 0;
     agg.has_sim = data.sim.count() > 0;
-    if (agg.has_wall) agg.wall_us = metrics::summarize(data.wall);
+    if (agg.has_wall) {
+      agg.wall_us = {data.wall.count(), data.wall.sum(), data.wall.percentile(50),
+                     data.wall.percentile(99)};
+    }
     if (agg.has_sim) agg.sim_us = metrics::summarize(data.sim);
     if (agg.has_wall || agg.has_sim) out.push_back(std::move(agg));
   }
   return out;
-}
-
-const metrics::Distribution* TraceSink::wall_distribution(std::string_view label) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  const auto it = labels_.find(label);
-  if (it == labels_.end() || it->second.wall.count() == 0) return nullptr;
-  return &it->second.wall;
 }
 
 const metrics::Distribution* TraceSink::sim_distribution(std::string_view label) const {

@@ -18,7 +18,10 @@
 // effective path, so "fetch" inside "bootstrap" aggregates under
 // "bootstrap/fetch".
 //
-// Aggregation reuses metrics::Distribution, so percentiles are exact.
+// Sim samples aggregate in a metrics::Distribution, so their percentiles
+// are exact (they feed deterministic artifact fields). Wall samples keep
+// bounded memory however many a run records: exact count, total, min and
+// max, and log-bucketed p50/p99 (ici::LogHistogram, ≤ 1/64 relative error).
 
 #include <chrono>
 #include <cstdint>
@@ -65,7 +68,6 @@ class TraceSink {
 
   // Aggregates for every label seen since the last reset(), sorted by label.
   [[nodiscard]] std::vector<LabelAggregate> aggregates() const;
-  [[nodiscard]] const metrics::Distribution* wall_distribution(std::string_view label) const;
   [[nodiscard]] const metrics::Distribution* sim_distribution(std::string_view label) const;
 
   // Drops all samples and the calling thread's span path stack; the sim
@@ -81,16 +83,18 @@ class TraceSink {
 
  private:
   struct LabelData {
-    metrics::Distribution wall;
+    LogHistogram wall;
     metrics::Distribution sim;
   };
+  /// The label's entry, created on first use. Caller must NOT hold mu_.
+  [[nodiscard]] LabelData& label_data(std::string_view label);
 
   /// Calling thread's span stack for this sink (lazily created).
   [[nodiscard]] std::vector<std::string>& span_stack() const;
 
   /// Guards labels_ lookups/inserts; std::map node stability keeps the
-  /// per-label Distribution references valid across concurrent inserts,
-  /// and Distribution::add is itself thread-safe.
+  /// per-label references valid across concurrent inserts, and both
+  /// aggregates' add() are themselves thread-safe.
   mutable std::mutex mu_;
   std::map<std::string, LabelData, std::less<>> labels_;
   SimClock sim_clock_;

@@ -171,6 +171,28 @@ TEST(Rendezvous, WeightMatchesGolden) {
   EXPECT_EQ(rendezvous_weight(Hash256{}, 65536), 0x1.8c9172204d4p-1);
 }
 
+TEST(Rendezvous, Top1MatchesStorersFront) {
+  // The owner pass's allocation-free top-1 ranks exactly as storers(…, 1):
+  // same score, same tie-break, across single- and multi-batch clusters,
+  // with sparse ids in no particular order.
+  const RendezvousAssigner a;
+  for (const std::size_t m : {1u, 2u, 3u, 17u, 20u, 33u, 64u}) {
+    std::vector<NodeInfo> ms;
+    for (std::size_t i = 0; i < m; ++i) {
+      ms.push_back({static_cast<NodeId>((i * 7919 + 13) % 100003), {0, 0}, 1.0});
+    }
+    for (std::uint64_t k = 0; k < 1000; ++k) {
+      const Hash256 key = block(k * 131 + m);
+      ASSERT_EQ(rendezvous_top1(key, ms), a.storers(key, 0, ms, 1).front())
+          << "m=" << m << " key=" << k;
+    }
+  }
+}
+
+TEST(Rendezvous, Top1EmptyClusterThrows) {
+  EXPECT_THROW(static_cast<void>(rendezvous_top1(block(1), {})), std::invalid_argument);
+}
+
 TEST(RoundRobin, ReplicasAreConsecutive) {
   RoundRobinAssigner rr;
   const auto s = rr.storers(block(1), 3, members(5), 3);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "chain/workload.h"
+#include "ici/bootstrap.h"
 #include "ici/network.h"
 #include "ici/retrieval.h"
 #include "sim/faults.h"
@@ -529,6 +530,56 @@ TEST(FaultGolden, ChallengeLookupsReplayExactly) {
             "verify.slice_rejected=58\n"
             "commit.cluster_latency_us=12/17002461\n"
             "sim.events_executed=1285\n");
+}
+
+TEST(FaultGolden, JoinBetweenDisseminateAndSettleReplaysExactly) {
+  // A node joins (bulk sync included) while a block is in flight, then two
+  // more blocks follow. From the join on, UTXO owners follow the new
+  // membership: the joiner is handed no UTXO entries for the outpoints it now
+  // owns, so lookups it answers come back missing (DESIGN.md, "Known
+  // simplifications"). The values pin that behaviour, the commit latencies
+  // and the exact event count.
+  ChainGenConfig ccfg;
+  ccfg.txs_per_block = 40;
+  ChainGenerator gen(ccfg);
+  IciNetworkConfig ncfg;
+  ncfg.node_count = 30;
+  ncfg.ici.cluster_count = 3;
+  IciNetwork net(ncfg);
+  Block genesis = gen.workload().make_genesis();
+  gen.workload().confirm(genesis);
+  Chain chain(genesis);
+  net.init_with_genesis(genesis);
+
+  std::ostringstream latencies;
+  chain.append(gen.next_block(chain));
+  latencies << net.disseminate_and_settle(chain.tip()) << '/';
+  chain.append(gen.next_block(chain));
+  net.disseminate(chain.tip());
+  const fleet::JoinReport join = Bootstrapper::join(net, {50.0, 50.0});
+  net.settle();
+  latencies << net.full_commit_time(chain.tip().hash()) << '/';
+  for (int i = 0; i < 2; ++i) {
+    chain.append(gen.next_block(chain));
+    latencies << net.disseminate_and_settle(chain.tip()) << '/';
+  }
+  EXPECT_TRUE(join.complete);
+
+  // Only the block before the join fully commits; from then on the
+  // joiner's cluster vetoes every block as a confirmed fraud.
+  EXPECT_EQ(latencies.str(), "174620/0/0/0/");
+  EXPECT_EQ(dump_metrics(net, {"commit.", "verify.", "fraud.", "lookup."}),
+            "commit.count=9\n"
+            "commit.notices=84\n"
+            "fraud.confirmed=3\n"
+            "lookup.requests=372\n"
+            "verify.fraud_rejected=3\n"
+            "verify.late_votes=17\n"
+            "verify.rounds_started=12\n"
+            "verify.slice_approved=99\n"
+            "verify.slice_rejected=24\n"
+            "commit.cluster_latency_us=9/985217\n"
+            "sim.events_executed=1275\n");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "chain/workload.h"
+#include "common/thread_pool.h"
 #include "ici/retrieval.h"
 #include "storage/storage_meter.h"
 
@@ -142,6 +143,43 @@ TEST(IciNetwork, UtxoShardsUnionMatchesReplayedState) {
       EXPECT_EQ(entry->output.value, out.value);
     }
   }
+}
+
+TEST(IciNetwork, OwnerTableReproducesEveryOwner) {
+  // disseminate() ranks every outpoint its block spends or creates, in every
+  // cluster, into the owner table that settle() drops; each owner must read
+  // the same from the table as ranked from scratch before it existed. At
+  // 120 members per outpoint the pass runs in several chunks, tiled the
+  // same way on 1, 2 and 8 pool lanes.
+  for (const std::size_t lanes : {1u, 2u, 8u}) {
+    ThreadPool::set_global_threads(lanes);
+    Rig rig(120, 4, 1, 24);
+    ASSERT_GT(rig.step(), 0u);
+    rig.chain->append(rig.gen->next_block(*rig.chain));
+    const Block& block = rig.chain->tip();
+    std::vector<OutPoint> ops;
+    for (const Transaction& tx : block.txs()) {
+      for (const TxInput& in : tx.inputs()) ops.push_back(in.prevout);
+      for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) ops.push_back({tx.txid(), i});
+    }
+    const std::size_t k = rig.net->directory().cluster_count();
+    const auto owners = [&] {
+      std::vector<cluster::NodeId> out;
+      for (const OutPoint& op : ops) {
+        for (std::size_t c = 0; c < k; ++c) out.push_back(rig.net->utxo_owner(op, c));
+      }
+      return out;
+    };
+    const std::vector<cluster::NodeId> before = owners();
+    ASSERT_GT(ops.size(), block.txs().size());
+
+    rig.net->disseminate(block);
+    EXPECT_EQ(owners(), before) << lanes << " lanes";
+    rig.net->settle();
+    EXPECT_EQ(owners(), before) << lanes << " lanes";
+    EXPECT_GT(rig.net->full_commit_time(block.hash()), 0u);
+  }
+  ThreadPool::set_global_threads(0);
 }
 
 TEST(IciNetwork, PerNodeStorageIsFractionOfLedger) {

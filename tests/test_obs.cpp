@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 
 #include "common/json.h"
+#include "common/stats.h"
 #include "metrics/registry.h"
 #include "obs/bench_report.h"
 #include "obs/trace.h"
@@ -48,6 +50,34 @@ TEST(TraceSink, AggregationMathMatchesDistribution) {
   EXPECT_EQ(aggs[0].sim_us.total, 5050.0);
   EXPECT_EQ(aggs[0].sim_us.p50, d->p50());
   EXPECT_EQ(aggs[0].sim_us.p99, d->p99());
+}
+
+TEST(TraceSink, MillionWallSamplesKeepExactCountAndTotalAndBoundedPercentiles) {
+  // Wall samples are not retained: count and total stay exact, p50/p99 come
+  // from log buckets within 1/64 of the exact (sample-retaining) values.
+  // Every sample is a multiple of 2^-10 below 2^20, so any summation order
+  // gives the same exact total.
+  TraceSink sink;
+  Histogram exact;
+  std::uint64_t total_units = 0;
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  constexpr int kSamples = 1'000'000;
+  for (int i = 0; i < kSamples; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+    const auto units = static_cast<std::uint64_t>(std::exp2(u * 30.0));  // 2^-10 .. 2^20 us
+    total_units += units;
+    const double us = static_cast<double>(units) * 0x1.0p-10;
+    exact.add(us);
+    sink.record_wall("pool", us);
+  }
+  const auto aggs = sink.aggregates();
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_EQ(aggs[0].wall_us.count, static_cast<std::uint64_t>(kSamples));
+  EXPECT_EQ(aggs[0].wall_us.total, static_cast<double>(total_units) * 0x1.0p-10);
+  constexpr double kBound = 1.0 / 64;
+  EXPECT_NEAR(aggs[0].wall_us.p50, exact.p50(), exact.p50() * kBound);
+  EXPECT_NEAR(aggs[0].wall_us.p99, exact.p99(), exact.p99() * kBound);
 }
 
 TEST(TraceSink, ResetDropsSamplesKeepsClock) {

@@ -67,6 +67,17 @@ TEST(Sha256, IncrementalMatchesOneShotAtAllSplitPoints) {
   }
 }
 
+TEST(Sha256, EmptyUpdateWithPartialBlockBufferedIsANoOp) {
+  // A default ByteSpan has a null data(); with bytes buffered, update() must
+  // not hand it to memcpy (UBSan reports that even for a zero length).
+  const std::string msg = "abc";
+  Sha256 h;
+  h.update(as_span(msg));
+  h.update(ByteSpan{});
+  h.update(ByteSpan{});
+  EXPECT_EQ(digest_hex(h.final()), digest_hex(Sha256::hash(as_span(msg))));
+}
+
 TEST(Sha256, DoubleHashDiffersFromSingle) {
   const auto single = Sha256::hash(as_span("abc"));
   const auto twice = Sha256::hash2(as_span("abc"));

@@ -88,6 +88,48 @@ TEST(Histogram, ClampsOutOfRangePercentiles) {
   EXPECT_EQ(h.percentile(150), 2.0);
 }
 
+TEST(LogHistogram, EmptyIsZero) {
+  LogHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0.0);
+  EXPECT_EQ(h.percentile(50), 0.0);
+}
+
+TEST(LogHistogram, EndRanksAreExactMinAndMax) {
+  LogHistogram h;
+  for (const double x : {3.0, 0.5, 1000.25, 7.0}) h.add(x);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 1010.75);
+  EXPECT_EQ(h.min(), 0.5);
+  EXPECT_EQ(h.max(), 1000.25);
+  EXPECT_EQ(h.percentile(0), 0.5);
+  EXPECT_EQ(h.percentile(100), 1000.25);
+  EXPECT_EQ(h.percentile(150), 1000.25);
+}
+
+TEST(LogHistogram, InteriorRanksWithinBucketBound) {
+  LogHistogram h;
+  Histogram exact;
+  for (int i = 1; i <= 1000; ++i) {
+    const double x = 0.37 * i * i;
+    h.add(x);
+    exact.add(x);
+  }
+  for (const double p : {10.0, 25.0, 50.0, 90.0, 99.0}) {
+    EXPECT_NEAR(h.percentile(p), exact.percentile(p), exact.percentile(p) / 64) << p;
+  }
+}
+
+TEST(LogHistogram, OutOfRangeSamplesLandInTheEndBuckets) {
+  LogHistogram h;
+  h.add(0.0);
+  h.add(1e-9);
+  h.add(1e15);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.percentile(0), 0.0);
+  EXPECT_EQ(h.percentile(100), 1e15);
+}
+
 TEST(FormatBytes, HumanReadableUnits) {
   EXPECT_EQ(format_bytes(0), "0 B");
   EXPECT_EQ(format_bytes(512), "512 B");
