@@ -111,12 +111,8 @@ void BM_MessageCodecRoundTrip(benchmark::State& state) {
   cfg.txs_per_block = static_cast<std::size_t>(state.range(0));
   const Chain chain = ChainGenerator(cfg).generate();
   const Block& block = chain.at_height(1);
-  core::SliceMsg msg;
-  msg.header = block.header();
-  msg.block_hash = block.hash();
-  msg.first_index = 0;
-  msg.total_txs = static_cast<std::uint32_t>(block.txs().size());
-  msg.txs = block.txs();
+  const core::SliceMsg msg(std::make_shared<const Block>(block), block.hash(), 0,
+                          block.txs().size());
   for (auto _ : state) {
     const Bytes enc = core::encode_message(msg);
     benchmark::DoNotOptimize(core::decode_message(ByteSpan(enc.data(), enc.size())));

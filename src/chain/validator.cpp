@@ -1,8 +1,48 @@
 #include "chain/validator.h"
 
+#include <optional>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 namespace ici {
+
+namespace {
+
+/// Undo log of an in-place block apply: (outpoint, the entry a spend
+/// removed), or (outpoint, nullopt) for a creation, in the order made.
+using UtxoJournal = std::vector<std::pair<OutPoint, std::optional<UtxoEntry>>>;
+
+/// UtxoSet::apply_tx, journaling each change the moment it is made. The
+/// caller reserves room for every change, so recording one cannot throw.
+void apply_journaled(const Transaction& tx, std::uint64_t height, UtxoSet& utxo,
+                     UtxoJournal& journal) {
+  for (const TxInput& in : tx.inputs()) {
+    std::optional<UtxoEntry> entry = utxo.find(in.prevout);
+    if (!entry) throw std::logic_error("UtxoSet::apply_tx: missing input");
+    utxo.spend(in.prevout);
+    journal.emplace_back(in.prevout, std::move(entry));
+  }
+  const Hash256& id = tx.txid();
+  for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) {
+    const OutPoint op{id, i};
+    utxo.add(op, UtxoEntry{tx.outputs()[i], height, tx.is_coinbase()});
+    journal.emplace_back(op, std::nullopt);
+  }
+}
+
+/// Undoes `journal` in reverse order.
+void roll_back(const UtxoJournal& journal, UtxoSet& utxo) {
+  for (auto it = journal.rbegin(); it != journal.rend(); ++it) {
+    if (it->second) {
+      utxo.add(it->first, *it->second);
+    } else {
+      utxo.spend(it->first);
+    }
+  }
+}
+
+}  // namespace
 
 ValidationResult Validator::check_tx_stateless(const Transaction& tx) const {
   if (tx.outputs().empty()) return ValidationResult::fail("tx has no outputs");
@@ -65,17 +105,30 @@ ValidationResult Validator::validate_and_apply(const Block& block,
   if (!block.txs().front().is_coinbase())
     return ValidationResult::fail("first tx must be coinbase");
 
-  // Validate + apply sequentially on a scratch copy so failure leaves the
-  // caller's UTXO untouched.
-  UtxoSet scratch = utxo;
-  for (std::size_t i = 0; i < block.txs().size(); ++i) {
-    const Transaction& tx = block.txs()[i];
-    if (i > 0 && tx.is_coinbase()) return ValidationResult::fail("coinbase not first");
-    if (auto r = check_tx_stateless(tx); !r) return r;
-    if (auto r = check_tx_stateful(tx, scratch); !r) return r;
-    scratch.apply_tx(tx, block.header().height);
+  // Validate + apply sequentially in place, so intra-block spends are
+  // visible. A failure or an exception rolls the journal back, leaving the
+  // caller's UTXO exactly as it was without ever copying it.
+  std::size_t changes = 0;
+  for (const Transaction& tx : block.txs()) changes += tx.inputs().size() + tx.outputs().size();
+  UtxoJournal journal;
+  journal.reserve(changes);
+  try {
+    for (std::size_t i = 0; i < block.txs().size(); ++i) {
+      const Transaction& tx = block.txs()[i];
+      ValidationResult r = i > 0 && tx.is_coinbase()
+                               ? ValidationResult::fail("coinbase not first")
+                               : check_tx_stateless(tx);
+      if (r) r = check_tx_stateful(tx, utxo);
+      if (!r) {
+        roll_back(journal, utxo);
+        return r;
+      }
+      apply_journaled(tx, block.header().height, utxo, journal);
+    }
+  } catch (...) {
+    roll_back(journal, utxo);
+    throw;
   }
-  utxo = std::move(scratch);
   return ValidationResult::ok();
 }
 

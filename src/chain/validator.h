@@ -49,7 +49,9 @@ class Validator {
 
   /// Full block validation: header linkage, Merkle root, exactly one leading
   /// coinbase, every tx valid against `utxo` *with intra-block spends
-  /// visible*. On success, applies the block to `utxo`.
+  /// visible*. On success, applies the block to `utxo`; on a failure or an
+  /// exception, `utxo` is left exactly as it was (applied in place, undone
+  /// from a journal — the set is never copied).
   [[nodiscard]] ValidationResult validate_and_apply(const Block& block,
                                                     const Hash256& expected_parent,
                                                     std::uint64_t expected_height,

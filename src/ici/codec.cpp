@@ -73,7 +73,7 @@ void encode_body(ByteWriter& w, const SliceMsg& m) {
   put_hash(w, m.block_hash);
   w.u32(m.first_index);
   w.u32(m.total_txs);
-  for (const Transaction& tx : m.txs) {
+  for (const Transaction& tx : m.txs()) {
     w.u32(static_cast<std::uint32_t>(tx.serialized_size()));
     tx.serialize_into(w);
   }
@@ -192,17 +192,18 @@ std::shared_ptr<IciMessage> decode_body(MsgKind kind, ByteReader& r) {
       return std::make_shared<FullBlockMsg>(std::move(block), verify);
     }
     case MsgKind::kSlice: {
-      auto m = std::make_shared<SliceMsg>();
       const Bytes hdr = r.raw(BlockHeader::kWireSize);
-      m->header = BlockHeader::deserialize(ByteSpan(hdr.data(), hdr.size()));
-      m->block_hash = get_hash(r);
-      m->first_index = r.u32();
-      m->total_txs = r.u32();
+      const BlockHeader header = BlockHeader::deserialize(ByteSpan(hdr.data(), hdr.size()));
+      const Hash256 block_hash = get_hash(r);
+      const std::uint32_t first_index = r.u32();
+      const std::uint32_t total_txs = r.u32();
+      std::vector<Transaction> txs;
       while (!r.done()) {
         const Bytes enc = r.blob();
-        m->txs.push_back(Transaction::deserialize(ByteSpan(enc.data(), enc.size())));
+        txs.push_back(Transaction::deserialize(ByteSpan(enc.data(), enc.size())));
       }
-      return m;
+      return std::make_shared<SliceMsg>(header, block_hash, first_index, total_txs,
+                                        std::move(txs));
     }
     case MsgKind::kUtxoLookup: {
       auto m = std::make_shared<UtxoLookupMsg>();

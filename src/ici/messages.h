@@ -12,6 +12,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "chain/block.h"
@@ -58,21 +60,49 @@ struct FullBlockMsg final : IciMessage {
   [[nodiscard]] const char* type_name() const override { return "FullBlock"; }
 };
 
-/// A member's verification slice: the header plus a contiguous tx range.
+/// A member's verification slice: the header plus a contiguous tx range. The
+/// head's slices view its block, so no tx is copied per member; a decoded
+/// slice owns its txs. Either way the wire bytes are the same.
 struct SliceMsg final : IciMessage {
+  /// Views txs [first, first + count) of `block`.
+  SliceMsg(std::shared_ptr<const Block> block, const Hash256& hash, std::size_t first,
+           std::size_t count)
+      : header(block->header()),
+        block_hash(hash),
+        first_index(static_cast<std::uint32_t>(first)),
+        total_txs(static_cast<std::uint32_t>(block->txs().size())),
+        block_(std::move(block)),
+        count_(count) {
+    if (first + count > total_txs) throw std::out_of_range("SliceMsg: range past the block");
+  }
+  /// Owns `txs` (what the codec decodes).
+  SliceMsg(const BlockHeader& hdr, const Hash256& hash, std::uint32_t first,
+           std::uint32_t total, std::vector<Transaction> txs)
+      : header(hdr), block_hash(hash), first_index(first), total_txs(total),
+        owned_(std::move(txs)) {}
+
   BlockHeader header;
   Hash256 block_hash;
-  std::uint32_t first_index = 0;  // index of txs.front() within the block
+  std::uint32_t first_index = 0;  // index of txs().front() within the block
   std::uint32_t total_txs = 0;
-  std::vector<Transaction> txs;
+
+  [[nodiscard]] std::span<const Transaction> txs() const {
+    if (!block_) return owned_;
+    return std::span<const Transaction>(block_->txs()).subspan(first_index, count_);
+  }
 
   [[nodiscard]] MsgKind kind() const override { return MsgKind::kSlice; }
   [[nodiscard]] std::size_t wire_size() const override {
     std::size_t sz = BlockHeader::kWireSize + 32 + 8;
-    for (const Transaction& tx : txs) sz += 4 + tx.serialized_size();
+    for (const Transaction& tx : txs()) sz += 4 + tx.serialized_size();
     return sz;
   }
   [[nodiscard]] const char* type_name() const override { return "Slice"; }
+
+ private:
+  std::shared_ptr<const Block> block_;  // the viewed block; null when decoded
+  std::size_t count_ = 0;
+  std::vector<Transaction> owned_;
 };
 
 /// Asks a UTXO-shard owner whether outpoints exist (and their outputs).

@@ -129,6 +129,12 @@ constexpr std::size_t kOwnerHashesPerChunk = 2048;
 /// Genesis outputs ranked per pass; bounds init_with_genesis's owner buffer.
 constexpr std::size_t kGenesisOwnerWindow = 4096;
 
+/// Transactions per verdict-pass chunk. A tx check is a handful of SHA-256
+/// invocations (signature re-derivation dominates), so small chunks would
+/// drown in dispatch; 8 keeps chunk cost in the tens of microseconds while
+/// still splitting a block across workers.
+constexpr std::size_t kSliceVerifyGrain = 8;
+
 }  // namespace
 
 NodeId IciNetwork::utxo_owner(const OutPoint& op, std::size_t cluster) const {
@@ -174,14 +180,39 @@ void IciNetwork::add_block_owners(const Block& block) {
   rank_owners(keys.data(), keys.size(), 0, k, owners_.data() + first);
 }
 
-void IciNetwork::drop_owner_table() {
+bool IciNetwork::tx_stateless_ok(const Transaction& tx) const {
+  const auto verdict = verdicts_.find(tx.txid());
+  if (verdict != verdicts_.end()) return verdict->second;
+  return static_cast<bool>(validator_.check_tx_stateless(tx));
+}
+
+void IciNetwork::add_block_verdicts(const Block& block) {
+  const std::vector<Transaction>& txs = block.txs();
+  std::vector<std::uint8_t> ok(txs.size());
+  {
+    // The per-block share of slice verification: its chunks aggregate under
+    // "verify/slice/pool". Every slot is written by exactly one chunk, so
+    // the table is the same for any thread count.
+    const obs::Span span("verify/slice");
+    ThreadPool::global().parallel_for(
+        0, txs.size(), kSliceVerifyGrain, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            ok[i] = validator_.check_tx_stateless(txs[i]) ? 1 : 0;
+          }
+        });
+  }
+  for (std::size_t i = 0; i < txs.size(); ++i) verdicts_.emplace(txs[i].txid(), ok[i] != 0);
+}
+
+void IciNetwork::drop_block_tables() {
   owner_rows_.clear();
   owners_.clear();
+  verdicts_.clear();
 }
 
 void IciNetwork::settle() {
   rt_.settle();
-  drop_owner_table();
+  drop_block_tables();
 }
 
 void IciNetwork::init_with_genesis(const Block& genesis) {
@@ -265,6 +296,7 @@ void IciNetwork::disseminate(const Block& block) {
 
   progress_[block.hash()] = CommitProgress{0, rt_.simulator().now(), 0};
   add_block_owners(block);
+  add_block_verdicts(block);
   nodes_[proposer].propose(block);
 }
 
@@ -570,7 +602,7 @@ IciNetwork::ReconfigReport IciNetwork::reconfigure(std::uint64_t epoch_seed) {
   auto fresh = std::make_unique<cluster::ClusterDirectory>(infos_, std::move(clustering));
   for (const auto& [id, online] : liveness) fresh->set_online(id, online);
   directory_ = std::move(fresh);
-  drop_owner_table();
+  drop_block_tables();
 
   // Every new cluster must regain the full ledger: pull each block a new
   // assignee lacks from its nearest current holder (possibly cross-cluster
@@ -632,7 +664,7 @@ NodeId IciNetwork::add_joiner(sim::Coord coord, std::size_t cluster) {
   info.capacity = 1.0;
   infos_.push_back(info);
   directory_->add_member(info, cluster);
-  drop_owner_table();
+  drop_block_tables();
   add_node(info);
   return info.id;
 }

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "chain/chain.h"
+#include "chain/validator.h"
 #include "cluster/assignment.h"
 #include "cluster/directory.h"
 #include "cluster/repair.h"
@@ -63,7 +64,8 @@ class IciNetwork {
   void disseminate(const Block& block);
 
   /// Runs the simulator until no events remain, then refreshes the "sim.*"
-  /// event-core counters in metrics(). Drops the owner table (utxo_owner).
+  /// event-core counters in metrics(). Drops the owner table (utxo_owner)
+  /// and the verdict table (tx_stateless_ok).
   void settle();
 
   /// Statically installs an already-built chain (headers everywhere, bodies
@@ -125,6 +127,11 @@ class IciNetwork {
   /// over the full membership). Outpoints of the blocks disseminated since
   /// the last settle() come from the owner table; any other is ranked now.
   [[nodiscard]] cluster::NodeId utxo_owner(const OutPoint& op, std::size_t cluster) const;
+
+  /// Validator::check_tx_stateless's verdict on `tx`, from the network's one
+  /// default-config validator. Txs of the blocks disseminated since the last
+  /// settle() come from the verdict table; any other is checked now.
+  [[nodiscard]] bool tx_stateless_ok(const Transaction& tx) const;
 
   /// Online peers worth asking for a block body, rendezvous-ranked, with
   /// `exclude` (usually the asker) removed. Goes a couple of ranks past the
@@ -201,7 +208,11 @@ class IciNetwork {
   /// Adds a row to the owner table for every outpoint `block` spends or
   /// creates that has none yet, ranked in one pass over the worker pool.
   void add_block_owners(const Block& block);
-  void drop_owner_table();
+  /// Adds every tx of `block` to the verdict table, checked in one pass
+  /// over the worker pool.
+  void add_block_verdicts(const Block& block);
+  /// Drops the owner and verdict tables.
+  void drop_block_tables();
   /// out[i * (last - first) + (c - first)] = owner of keys[i] in cluster c,
   /// for c in [first, last), ranked over the worker pool.
   void rank_owners(const Hash256* keys, std::size_t n, std::size_t first, std::size_t last,
@@ -228,6 +239,11 @@ class IciNetwork {
   /// never outlives the membership it was ranked over.
   std::unordered_map<OutPoint, std::size_t, OutPointHasher> owner_rows_;
   std::vector<cluster::NodeId> owners_;
+  /// Verdict table: txid → check_tx_stateless verdict, with the owner
+  /// table's lifetime. A txid commits to every byte the verdict reads, so a
+  /// tampered tx can never find another tx's verdict here.
+  std::unordered_map<Hash256, bool, Hash256Hasher> verdicts_;
+  Validator validator_;
   std::unique_ptr<cluster::RepairDaemon> repair_daemon_;
   std::unique_ptr<erasure::ReedSolomon> codec_;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
 #include "ici/network.h"
 #include "obs/trace.h"
 #include "sync/serve.h"
@@ -16,7 +15,7 @@ using cluster::NodeId;
 namespace {
 
 /// Digest a member commits to in its vote: the txids it verified.
-Hash256 slice_digest_of(const std::vector<Transaction>& txs) {
+Hash256 slice_digest_of(std::span<const Transaction> txs) {
   ByteWriter w(txs.size() * 32);
   for (const Transaction& tx : txs) w.raw(tx.txid().span());
   return Hash256::tagged("ici/slice", ByteSpan(w.bytes().data(), w.bytes().size()));
@@ -32,12 +31,6 @@ Bytes vote_payload(const Hash256& block_hash, bool approve, const Hash256& slice
   if (challenge) w.raw(challenge->span());
   return w.take();
 }
-
-// Transactions per parallel_for chunk in slice verification. A tx check is
-// a handful of SHA-256 invocations (signature re-derivation dominates), so
-// small chunks would drown in dispatch; 8 keeps chunk cost in the tens of
-// microseconds while still splitting paper-sized slices across workers.
-constexpr std::size_t kSliceVerifyGrain = 8;
 
 // Protocol timeouts in sim time. A head stops waiting for votes after
 // kVerifyTimeoutUs and decides on those that arrived. A lookup round stops
@@ -99,7 +92,7 @@ void IciNode::on_message(sim::NodeId from, const sim::MessagePtr& msg) {
       handle_full_block(static_cast<const FullBlockMsg&>(*m));
       break;
     case MsgKind::kSlice:
-      handle_slice(from, static_cast<const SliceMsg&>(*m));
+      handle_slice(from, std::static_pointer_cast<const SliceMsg>(msg));
       break;
     case MsgKind::kUtxoLookup:
       handle_utxo_lookup(from, static_cast<const UtxoLookupMsg&>(*m));
@@ -215,15 +208,8 @@ void IciNode::start_cluster_verification(std::shared_ptr<const Block> block) {
   std::size_t begin = 0;
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t len = n / m + (i < n % m ? 1 : 0);
-    auto slice = std::make_shared<SliceMsg>();
-    slice->header = block->header();
-    slice->block_hash = hash;
-    slice->first_index = static_cast<std::uint32_t>(begin);
-    slice->total_txs = static_cast<std::uint32_t>(n);
-    slice->txs.assign(block->txs().begin() + static_cast<std::ptrdiff_t>(begin),
-                      block->txs().begin() + static_cast<std::ptrdiff_t>(begin + len));
+    ctx_.network().send(id_, members[i].id, std::make_shared<SliceMsg>(block, hash, begin, len));
     begin += len;
-    ctx_.network().send(id_, members[i].id, std::move(slice));
   }
   ctx_.metrics().counter("verify.rounds_started").inc();
 
@@ -337,7 +323,7 @@ void IciNode::start_challenge(const Hash256& block_hash, const Hash256& txid) {
   }
 
   // Immediate verdicts that need no lookups.
-  if (!validator_.check_tx_stateless(*tx)) {
+  if (!ctx_.tx_stateless_ok(*tx)) {
     ctx_.metrics().counter("fraud.confirmed").inc();
     reject_block(block_hash, "verify.fraud_rejected");
     return;
@@ -476,20 +462,20 @@ void IciNode::commit_block(const Hash256& block_hash) {
 // Member role
 // ---------------------------------------------------------------------------
 
-void IciNode::handle_slice(sim::NodeId from, const SliceMsg& msg) {
+void IciNode::handle_slice(sim::NodeId from, std::shared_ptr<const SliceMsg> msg) {
   if (fault_.drop_slices) {
     ctx_.metrics().counter("fault.slices_dropped").inc();
     return;
   }
-  const Hash256 hash = msg.block_hash;
+  const Hash256 hash = msg->block_hash;
   if (slices_.contains(hash)) return;
 
-  PendingSlice ps{from, msg.txs, {}, ctx_.simulator().now()};
+  PendingSlice ps{from, std::move(msg), {}, ctx_.simulator().now()};
   // Gather the UTXO lookups this slice needs (validity checks, including
   // the stateless ones, run per-tx in finish_slice so the first offender
   // can be named in a challenge).
   LookupAsks asks;
-  for (const Transaction& tx : ps.txs) {
+  for (const Transaction& tx : ps.msg->txs()) {
     if (!tx.is_coinbase()) resolve_inputs(tx, ps.lookups, asks);
   }
   const bool waiting = ps.lookups.outstanding > 0;
@@ -605,31 +591,18 @@ void IciNode::finish_slice(const Hash256& block_hash) {
   obs::TraceSink::global().record_sim(
       "verify/slice", static_cast<double>(ctx_.simulator().now() - ps.received));
 
-  // Per-tx checks are independent: they read only the tx itself and the
-  // already-resolved UTXO entries, so they fan out across the pool. Each
-  // verdict lands in its own slot and the merge below walks them in slice
-  // order — the named offender (and therefore every message that follows)
-  // is identical for any thread count.
-  const std::vector<Transaction>& txs = ps.txs;
-  std::vector<std::uint8_t> tx_ok(txs.size(), 1);
-  ThreadPool::global().parallel_for(
-      0, txs.size(), kSliceVerifyGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const Transaction& tx = txs[i];
-          // After a lookup timeout an unheard entry passes: the member
-          // votes approve-with-caveat (liveness bias).
-          const bool ok = validator_.check_tx_stateless(tx) &&
-                          (tx.is_coinbase() || inputs_valid(tx, ps.lookups));
-          tx_ok[i] = ok ? 1 : 0;
-        }
-      });
-
+  // The stateless verdicts come from the network's per-block pass; the
+  // stateful checks read the already-resolved UTXO entries. The first
+  // offender in slice order is the challenge the head will re-verify.
+  const std::span<const Transaction> txs = ps.msg->txs();
   bool approve = true;
-  std::optional<Hash256> offender;  // the challenge the head will re-verify
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    if (tx_ok[i] == 0) {
+  std::optional<Hash256> offender;
+  for (const Transaction& tx : txs) {
+    // After a lookup timeout an unheard entry passes: the member votes
+    // approve-with-caveat (liveness bias).
+    if (!ctx_.tx_stateless_ok(tx) || (!tx.is_coinbase() && !inputs_valid(tx, ps.lookups))) {
       approve = false;
-      offender = txs[i].txid();
+      offender = tx.txid();
       break;
     }
   }
@@ -638,11 +611,11 @@ void IciNode::finish_slice(const Hash256& block_hash) {
     // Byzantine rejection: flip the vote and (maximally annoying) fabricate
     // a challenge against a valid transaction — the head will disprove it.
     approve = false;
-    if (!offender && !ps.txs.empty()) offender = ps.txs.front().txid();
+    if (!offender && !txs.empty()) offender = txs.front().txid();
     ctx_.metrics().counter("fault.votes_flipped").inc();
   }
 
-  const Hash256 digest = slice_digest_of(ps.txs);
+  const Hash256 digest = slice_digest_of(txs);
   auto vote = std::make_shared<VoteMsg>();
   vote->block_hash = block_hash;
   vote->approve = approve;

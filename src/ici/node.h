@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "chain/validator.h"
 #include "cluster/node_info.h"
 #include "fleet/sync_peer.h"
 #include "ici/config.h"
@@ -198,11 +197,11 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
   // -- member role ------------------------------------------------------
   struct PendingSlice {
     sim::NodeId head = 0;
-    std::vector<Transaction> txs;
+    std::shared_ptr<const SliceMsg> msg;  // the slice as handed over
     LookupRound lookups;
     sim::SimTime received = 0;  // slice arrival, for verify-latency tracing
   };
-  void handle_slice(sim::NodeId from, const SliceMsg& msg);
+  void handle_slice(sim::NodeId from, std::shared_ptr<const SliceMsg> msg);
   void finish_slice(const Hash256& block_hash);
   void handle_utxo_lookup(sim::NodeId from, const UtxoLookupMsg& msg);
   void handle_utxo_response(const UtxoResponseMsg& msg);
@@ -300,7 +299,6 @@ class IciNode final : public sim::INode, public fleet::SyncPeer {
   KeyPair key_;
   BlockStore store_;
   UtxoShard shard_;
-  Validator validator_;
   FaultProfile fault_;
 
   std::unordered_map<Hash256, PendingVerify, Hash256Hasher> verifying_;

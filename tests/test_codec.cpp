@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 
 #include "chain/workload.h"
 #include "common/rng.h"
@@ -48,29 +49,50 @@ TEST(Codec, FullBlock) {
 
 TEST(Codec, Slice) {
   auto block = sample_block();
-  SliceMsg msg;
-  msg.header = block->header();
-  msg.block_hash = block->hash();
-  msg.first_index = 2;
-  msg.total_txs = 6;
-  msg.txs = {block->txs()[1], block->txs()[2]};
+  const SliceMsg msg(block, block->hash(), 2, 2);
   auto back = roundtrip(msg);
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(back->header.hash(), msg.header.hash());
   EXPECT_EQ(back->first_index, 2u);
   EXPECT_EQ(back->total_txs, 6u);
-  ASSERT_EQ(back->txs.size(), 2u);
-  EXPECT_EQ(back->txs[0].txid(), msg.txs[0].txid());
+  ASSERT_EQ(back->txs().size(), 2u);
+  EXPECT_EQ(back->txs()[0].txid(), msg.txs()[0].txid());
 }
 
 TEST(Codec, SliceEmpty) {
   auto block = sample_block();
-  SliceMsg msg;
-  msg.header = block->header();
-  msg.block_hash = block->hash();
+  const SliceMsg msg(block, block->hash(), 0, 0);
   auto back = roundtrip(msg);
   ASSERT_NE(back, nullptr);
-  EXPECT_TRUE(back->txs.empty());
+  EXPECT_TRUE(back->txs().empty());
+}
+
+TEST(Codec, SliceViewRoundTripsAsOwnedTxs) {
+  // A head's slice views txs [1, 3) of its block without copying them; the
+  // decoded slice owns its txs and reads the same ones.
+  auto block = sample_block();
+  ASSERT_EQ(block->txs().size(), 6u);
+  const SliceMsg view(block, block->hash(), 1, 2);
+  ASSERT_EQ(view.txs().size(), 2u);
+  EXPECT_EQ(view.txs().data(), block->txs().data() + 1);
+  EXPECT_EQ(view.first_index, 1u);
+  EXPECT_EQ(view.total_txs, 6u);
+  EXPECT_THROW(SliceMsg(block, block->hash(), 5, 2), std::out_of_range);
+
+  const Bytes wire = encode_message(view);
+  EXPECT_EQ(wire.size(), view.wire_size() + 1);
+  const auto back =
+      std::dynamic_pointer_cast<SliceMsg>(decode_message(ByteSpan(wire.data(), wire.size())));
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->block_hash, block->hash());
+  EXPECT_EQ(back->first_index, 1u);
+  EXPECT_EQ(back->total_txs, 6u);
+  EXPECT_EQ(back->wire_size(), view.wire_size());
+  ASSERT_EQ(back->txs().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(back->txs()[i].txid(), block->txs()[1 + i].txid());
+    EXPECT_NE(&back->txs()[i], &block->txs()[1 + i]);
+  }
 }
 
 TEST(Codec, UtxoLookupAndResponse) {

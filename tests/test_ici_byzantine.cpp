@@ -223,6 +223,33 @@ TEST(Byzantine, HonestChallengeVetoesInvalidBlockDespiteQuorum) {
   EXPECT_GT(rig.net->metrics().counter_value("verify.fraud_rejected"), 0u);
 }
 
+TEST(Byzantine, ForgedSignatureVetoedByEveryClusterReplaysExactly) {
+  // One tx carries a forged signature and is otherwise valid. In every
+  // cluster the member holding it rejects its slice naming that tx, and the
+  // head's re-check confirms the fraud, so the block commits nowhere. The
+  // values pin the exact event schedule.
+  Rig rig(36, 3);
+  ASSERT_GT(rig.step(), 0u);  // block 1: commits in all three clusters
+
+  Block good = rig.gen->next_block(*rig.chain);
+  std::vector<Transaction> txs = good.txs();
+  const Transaction& honest = txs[txs.size() / 2];
+  ASSERT_FALSE(honest.is_coinbase());
+  std::vector<TxInput> inputs = honest.inputs();
+  inputs[0].sig[7] ^= 0x20;
+  txs[txs.size() / 2] = Transaction(std::move(inputs), honest.outputs(), honest.nonce());
+  const Block bad = Block::assemble(good.header().parent, good.header().height,
+                                    good.header().timestamp_us, std::move(txs));
+
+  EXPECT_EQ(rig.net->disseminate_and_settle(bad), 0u);
+  const metrics::Registry& m = rig.net->metrics();
+  EXPECT_EQ(m.counter_value("fraud.confirmed"), 3u);
+  EXPECT_EQ(m.counter_value("verify.fraud_rejected"), 3u);
+  EXPECT_EQ(m.counter_value("verify.slice_rejected"), 3u);
+  EXPECT_EQ(m.counter_value("commit.count"), 3u);
+  EXPECT_EQ(m.counter_value("sim.events_executed"), 388u);
+}
+
 TEST(Byzantine, OverspendCaughtByChallenge) {
   // A tx spending a real output but emitting more value than it consumes.
   Rig rig;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "chain/workload.h"
@@ -17,7 +18,7 @@ namespace {
 
 struct Rig {
   explicit Rig(std::size_t nodes = 24, std::size_t clusters = 3, std::size_t replication = 1,
-               std::size_t txs_per_block = 12) {
+               std::size_t txs_per_block = 12, std::size_t shards = 0) {
     ChainGenConfig ccfg;
     ccfg.txs_per_block = txs_per_block;
     ccfg.workload.wallet_count = 16;
@@ -27,6 +28,7 @@ struct Rig {
     ncfg.node_count = nodes;
     ncfg.ici.cluster_count = clusters;
     ncfg.ici.replication = replication;
+    ncfg.shards = shards;
     net = std::make_unique<IciNetwork>(ncfg);
 
     Block genesis = gen->workload().make_genesis();
@@ -178,6 +180,63 @@ TEST(IciNetwork, OwnerTableReproducesEveryOwner) {
     rig.net->settle();
     EXPECT_EQ(owners(), before) << lanes << " lanes";
     EXPECT_GT(rig.net->full_commit_time(block.hash()), 0u);
+  }
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(IciNetwork, VerdictTableMatchesValidatorForEveryTx) {
+  // disseminate() checks every tx of its block once, into the verdict table
+  // that settle() drops; each verdict must equal a fresh default Validator's,
+  // from the table before settle() and from the on-the-spot check after it.
+  // The block carries one tx per stateless failure class. Members read the
+  // table on every event lane while the first block commits.
+  const Validator validator;
+  const KeyPair key = KeyPair::from_seed(4242);
+  const auto phantom = [](const char* tag) {
+    return TxInput{OutPoint{Hash256::tagged(tag, {}), 0}, {}, {}};
+  };
+  for (const std::size_t lanes : {1u, 2u, 8u}) {
+    for (const std::size_t shards : {1u, 2u, 8u}) {
+      ThreadPool::set_global_threads(lanes);
+      Rig rig(48, 4, 1, 24, shards);
+      ASSERT_GT(rig.step(), 0u) << lanes << " lanes, " << shards << " shards";
+
+      Block good = rig.gen->next_block(*rig.chain);
+      std::vector<Transaction> txs = good.txs();
+      const Transaction& honest = txs.back();
+      ASSERT_FALSE(honest.is_coinbase());
+      std::vector<TxInput> forged_inputs = honest.inputs();
+      forged_inputs[0].sig[0] ^= 0x01;
+      const Transaction forged(forged_inputs, honest.outputs(), honest.nonce());
+      ASSERT_NE(forged.txid(), honest.txid());
+      Transaction no_outputs({phantom("no-outputs")}, {}, 1);
+      Transaction zero_value({phantom("zero-value")}, {TxOutput{0, key.pub}}, 2);
+      Transaction duplicate({phantom("duplicate"), phantom("duplicate")},
+                            {TxOutput{5, key.pub}}, 3);
+      for (Transaction* tx : {&no_outputs, &zero_value, &duplicate}) tx->sign_all_inputs(key);
+      const Transaction honest_copy = honest;
+      txs.back() = forged;
+      txs.insert(txs.end(), {no_outputs, zero_value, duplicate});
+      const Block block = Block::assemble(good.header().parent, good.header().height,
+                                          good.header().timestamp_us, std::move(txs));
+
+      std::vector<bool> want;
+      for (const Transaction& tx : block.txs()) {
+        want.push_back(static_cast<bool>(validator.check_tx_stateless(tx)));
+      }
+      ASSERT_EQ(std::count(want.begin(), want.end(), false), 4);
+      const auto verdicts = [&] {
+        std::vector<bool> got;
+        for (const Transaction& tx : block.txs()) got.push_back(rig.net->tx_stateless_ok(tx));
+        return got;
+      };
+
+      rig.net->disseminate(block);
+      EXPECT_EQ(verdicts(), want) << lanes << " lanes, " << shards << " shards";
+      EXPECT_TRUE(rig.net->tx_stateless_ok(honest_copy));
+      rig.net->settle();
+      EXPECT_EQ(verdicts(), want) << lanes << " lanes, " << shards << " shards";
+    }
   }
   ThreadPool::set_global_threads(0);
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <vector>
+
 namespace ici {
 namespace {
 
@@ -191,6 +195,82 @@ TEST_F(BlockValidationTest, FailedValidationLeavesUtxoUntouched) {
   EXPECT_FALSE(validator.validate_and_apply(b, parent, 1, utxo));
   EXPECT_EQ(utxo.total_value(), before);
   EXPECT_EQ(utxo.size(), size_before);
+}
+
+/// Every outpoint in `ops` has the same entry, or the same absence, in both.
+void expect_same_entries(const UtxoSet& got, const UtxoSet& want,
+                         const std::vector<OutPoint>& ops) {
+  for (const OutPoint& op : ops) {
+    const std::optional<UtxoEntry> g = got.find(op);
+    const std::optional<UtxoEntry> w = want.find(op);
+    ASSERT_EQ(g.has_value(), w.has_value()) << op.txid.hex() << ':' << op.index;
+    if (!g) continue;
+    EXPECT_EQ(g->output.value, w->output.value);
+    EXPECT_EQ(g->output.recipient, w->output.recipient);
+    EXPECT_EQ(g->created_height, w->created_height);
+    EXPECT_EQ(g->is_coinbase, w->is_coinbase);
+  }
+}
+
+/// Every outpoint `txs` spend or create, then `extra`.
+std::vector<OutPoint> touched(const std::vector<Transaction>& txs,
+                              std::vector<OutPoint> extra = {}) {
+  for (const Transaction& tx : txs) {
+    for (const TxInput& in : tx.inputs()) extra.push_back(in.prevout);
+    for (std::uint32_t i = 0; i < tx.outputs().size(); ++i) extra.push_back({tx.txid(), i});
+  }
+  return extra;
+}
+
+TEST_F(BlockValidationTest, FailedChainedBlockRestoresEveryEntry) {
+  // tx 1 pays bob the seed output, tx 2 spends tx 1's output within the
+  // block, tx 3 spends the seed again: the block fails after tx 1 and tx 2
+  // were applied, and the set must be exactly what it was.
+  const OutPoint held{Hash256::tagged("held", {}), 3};
+  utxo.add(held, UtxoEntry{TxOutput{77, bob.pub}, 9, false});
+  const UtxoSet before = utxo;
+  const Transaction tx1 = spend(1000, 0, alice);
+  Transaction tx2({TxInput{OutPoint{tx1.txid(), 0}, {}, {}}}, {TxOutput{1000, alice.pub}}, 8);
+  tx2.sign_all_inputs(bob);
+  const Transaction tx3 = spend(500, 500, alice);
+  const std::vector<Transaction> txs{Transaction::coinbase(bob.pub, 50, 1), tx1, tx2, tx3};
+
+  EXPECT_FALSE(validator.validate_and_apply(make_block(txs, parent), parent, 1, utxo));
+  EXPECT_EQ(utxo.size(), before.size());
+  EXPECT_EQ(utxo.total_value(), before.total_value());
+  expect_same_entries(utxo, before, touched(txs, {held}));
+}
+
+TEST_F(BlockValidationTest, ThrowMidBlockRestoresEveryEntry) {
+  // tx 2 is valid but creates an outpoint the set already holds, so applying
+  // it throws after tx 1 and tx 2's spend were applied.
+  const Transaction tx1 = spend(1000, 0, alice);
+  Transaction tx2({TxInput{OutPoint{tx1.txid(), 0}, {}, {}}}, {TxOutput{1000, alice.pub}}, 8);
+  tx2.sign_all_inputs(bob);
+  const OutPoint clash{tx2.txid(), 0};
+  utxo.add(clash, UtxoEntry{TxOutput{5, bob.pub}, 4, false});
+  const UtxoSet before = utxo;
+  const std::vector<Transaction> txs{Transaction::coinbase(bob.pub, 50, 1), tx1, tx2};
+
+  EXPECT_THROW((void)validator.validate_and_apply(make_block(txs, parent), parent, 1, utxo),
+               std::logic_error);
+  EXPECT_EQ(utxo.size(), before.size());
+  EXPECT_EQ(utxo.total_value(), before.total_value());
+  expect_same_entries(utxo, before, touched(txs, {clash}));
+}
+
+TEST_F(BlockValidationTest, ValidChainedBlockMatchesApplyTxByTx) {
+  const Transaction tx1 = spend(1000, 0, alice);
+  Transaction tx2({TxInput{OutPoint{tx1.txid(), 0}, {}, {}}}, {TxOutput{1000, alice.pub}}, 8);
+  tx2.sign_all_inputs(bob);
+  const std::vector<Transaction> txs{Transaction::coinbase(bob.pub, 50, 1), tx1, tx2};
+  UtxoSet want = utxo;
+  for (const Transaction& tx : txs) want.apply_tx(tx, 1);
+
+  EXPECT_TRUE(validator.validate_and_apply(make_block(txs, parent), parent, 1, utxo));
+  EXPECT_EQ(utxo.size(), want.size());
+  EXPECT_EQ(utxo.total_value(), want.total_value());
+  expect_same_entries(utxo, want, touched(txs));
 }
 
 TEST_F(BlockValidationTest, TooManyTxsFails) {

@@ -9,6 +9,10 @@ checked in one command:
 
     $ python3 tools/perf_diff.py before/ after/
 
+Spans are paired by label: a label on one side only is one difference
+(marked wall-only when its sim_us is null), and a label on both sides is
+compared field by field.
+
 Host-time fields:
   * span `wall_us`;
   * counters sim.rss_bytes, sim.peak_rss_bytes, sim.bytes_per_node;
@@ -67,6 +71,20 @@ def split_host_fields(doc):
     return det, host
 
 
+def span_differences(a, b):
+    """Yields (path, a, b) per span label added, removed or changed."""
+    before = {span.get("label"): span for span in a}
+    after = {span.get("label"): span for span in b}
+    for label in sorted(before.keys() | after.keys(), key=str):
+        path = f"spans[{label}]"
+        if label in before and label in after:
+            yield from differences(before[label], after[label], path)
+            continue
+        span = before.get(label) or after.get(label)
+        kind = "wall-only span" if span.get("sim_us") is None else "span with sim_us"
+        yield path, kind if label in before else "<missing>", kind if label in after else "<missing>"
+
+
 def differences(a, b, path=""):
     """Yields (path, a, b) for every leaf where the two documents differ."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -74,6 +92,8 @@ def differences(a, b, path=""):
             sub = f"{path}.{key}" if path else str(key)
             if key not in a or key not in b:
                 yield sub, a.get(key, "<missing>"), b.get(key, "<missing>")
+            elif sub == "spans" and isinstance(a[key], list) and isinstance(b[key], list):
+                yield from span_differences(a[key], b[key])
             else:
                 yield from differences(a[key], b[key], sub)
     elif isinstance(a, list) and isinstance(b, list):

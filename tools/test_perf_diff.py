@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Self-test for tools/perf_diff.py (CTest `perf_diff_selftest`, label docs).
 
-Feeds the tool two pairs of synthetic artifacts: a pair that differs only in
-host-time fields must pass, a pair that differs in one row value must fail.
+Feeds the tool pairs of synthetic artifacts: a pair that differs only in
+host-time fields must pass; a pair that differs in one row value, in one
+span's sim_us, or by one added span row must fail, naming exactly that.
 
     $ python3 tools/test_perf_diff.py
 """
@@ -33,7 +34,17 @@ ARTIFACT = {
             "label": "disseminate/full_commit",
             "wall_us": {"count": 3, "total": 1500.0, "p50": 480.0, "p99": 600.0},
             "sim_us": {"count": 3, "total": 91000, "p50": 30000, "p99": 31000},
-        }
+        },
+        {
+            "label": "verify/commit",
+            "wall_us": None,
+            "sim_us": {"count": 9, "total": 72000, "p50": 8000, "p99": 9000},
+        },
+        {
+            "label": "verify/slice",
+            "wall_us": {"count": 60, "total": 900.0, "p50": 14.0, "p99": 30.0},
+            "sim_us": {"count": 60, "total": 240000, "p50": 4000, "p99": 5000},
+        },
     ],
 }
 
@@ -67,6 +78,30 @@ def main():
     code, out = run_pair(ARTIFACT, row_changed)
     if code != 1 or "copies" not in out:
         failures.append(f"row-value pair exited {code}, want 1 naming the field:\n{out}")
+
+    # One wall-only row added mid-list: one difference naming that row, not a
+    # shifted comparison of every row after it.
+    row_added = copy.deepcopy(ARTIFACT)
+    row_added["spans"].insert(
+        1,
+        {
+            "label": "pool",
+            "wall_us": {"count": 40, "total": 300.0, "p50": 7.0, "p99": 12.0},
+            "sim_us": None,
+        },
+    )
+    code, out = run_pair(ARTIFACT, row_added)
+    diff_lines = [line for line in out.splitlines() if line.startswith("DIFF ")]
+    if code != 1 or len(diff_lines) != 1 or "spans[pool]" not in diff_lines[0] \
+            or "wall-only" not in diff_lines[0]:
+        failures.append(f"added-span pair exited {code}, want 1 with one wall-only line:\n{out}")
+
+    sim_changed = copy.deepcopy(ARTIFACT)
+    sim_changed["spans"][2]["sim_us"]["total"] = 240001
+    code, out = run_pair(ARTIFACT, sim_changed)
+    diff_lines = [line for line in out.splitlines() if line.startswith("DIFF ")]
+    if code != 1 or len(diff_lines) != 1 or "spans[verify/slice].sim_us.total" not in out:
+        failures.append(f"sim_us pair exited {code}, want 1 naming the field:\n{out}")
 
     for f in failures:
         print("FAIL:", f)
